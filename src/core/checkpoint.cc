@@ -3,7 +3,12 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <tuple>
 
+#include <sys/stat.h>
+
+#include "observe/metrics.hh"
 #include "util/atomic_file.hh"
 #include "util/logging.hh"
 
@@ -305,33 +310,105 @@ checkpointExists(const std::string &path)
     return std::ifstream(path).good();
 }
 
+SweepCheckpointWriter::SweepCheckpointWriter(std::string path,
+                                             const SweepSpec &spec)
+    : path_(std::move(path)), protocols_(spec.protocols.size())
+{
+    JsonValue header = headerWithoutChecksum(spec);
+    header.set("check", JsonValue(fnv1aHex(serializeJson(header))));
+    header_ = serializeJson(header) + "\n";
+    std::tie(begin_, end_) =
+        spec.shard.cellRange(spec.values.size() * protocols_);
+}
+
+std::optional<SweepCheckpointWriter::FileStamp>
+SweepCheckpointWriter::stampOf(const std::string &path)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return std::nullopt;
+    return FileStamp{static_cast<uint64_t>(st.st_size),
+                     static_cast<uint64_t>(st.st_dev),
+                     static_cast<uint64_t>(st.st_ino),
+                     static_cast<int64_t>(st.st_mtim.tv_sec) *
+                             1000000000 +
+                         st.st_mtim.tv_nsec};
+}
+
+bool
+SweepCheckpointWriter::canCarryForward(const SweepResult &partial) const
+{
+    if (!committed_ || stampOf(path_) != stamp_)
+        return false;
+    // The file must hold every evaluated cell below nextCell_: a cell
+    // evaluated since, inside that range (a resume's gap), belongs in
+    // the middle of the file, not after it.
+    size_t below = 0;
+    for (size_t cell = begin_; cell < nextCell_; ++cell) {
+        if (partial.cellEvaluated(cell / protocols_, cell % protocols_))
+            ++below;
+    }
+    return below == cells_;
+}
+
+Expected<void>
+SweepCheckpointWriter::commit(const SweepResult &partial)
+{
+    std::optional<AtomicFile> file(std::in_place, path_);
+    bool carried = false;
+    if (canCarryForward(partial) && file->ok()) {
+        // Stream the committed bytes, never holding them in memory. A
+        // copy of any other length means the file changed under us:
+        // start the temporary over and rewrite in full.
+        std::ifstream prev(path_, std::ios::binary);
+        file->stream() << prev.rdbuf();
+        carried = file->ok() &&
+            static_cast<uint64_t>(file->stream().tellp()) ==
+                stamp_.size;
+        if (!carried)
+            file.emplace(path_);
+    }
+    committed_ = false; // until this commit succeeds
+    if (!file->ok()) {
+        return makeError(SolveErrorCode::IoError,
+                         "writeSweepCheckpoint",
+                         "cannot open a temporary for '%s'",
+                         path_.c_str());
+    }
+    if (!carried)
+        file->stream() << header_;
+    // Cells go out in increasing global order - the same order every
+    // time for the same completed set, so identical progress writes
+    // identical bytes regardless of scheduling or commit cadence.
+    const size_t from = carried ? nextCell_ : begin_;
+    size_t next = from, serialized = 0;
+    for (size_t cell = from; cell < end_; ++cell) {
+        size_t v = cell / protocols_, p = cell % protocols_;
+        if (!partial.cellEvaluated(v, p))
+            continue;
+        file->stream() << cellLine(cell, partial, v, p) << "\n";
+        ++serialized;
+        next = cell + 1;
+    }
+    metricAdd("sweep.checkpoint_cells_serialized",
+              static_cast<double>(serialized));
+    if (auto committed = file->commit(); !committed)
+        return committed;
+    // Without a stamp the next commit simply rewrites in full.
+    if (auto stamp = stampOf(path_)) {
+        committed_ = true;
+        stamp_ = *stamp;
+        cells_ = (carried ? cells_ : 0) + serialized;
+        nextCell_ = next;
+    }
+    return {};
+}
+
 Expected<void>
 writeSweepCheckpoint(const std::string &path, const SweepSpec &spec,
                      const SweepResult &partial)
 {
-    AtomicFile file(path);
-    if (!file.ok()) {
-        return makeError(SolveErrorCode::IoError,
-                         "writeSweepCheckpoint",
-                         "cannot open a temporary for '%s'",
-                         path.c_str());
-    }
-    JsonValue header = headerWithoutChecksum(spec);
-    header.set("check", JsonValue(fnv1aHex(serializeJson(header))));
-    file.stream() << serializeJson(header) << "\n";
-    const size_t protocols = spec.protocols.size();
-    auto [begin, end] =
-        spec.shard.cellRange(spec.values.size() * protocols);
-    // Cells go out in increasing global order - the same order every
-    // time for the same completed set, so identical progress writes
-    // identical bytes regardless of scheduling.
-    for (size_t cell = begin; cell < end; ++cell) {
-        size_t v = cell / protocols, p = cell % protocols;
-        if (!partial.cellEvaluated(v, p))
-            continue;
-        file.stream() << cellLine(cell, partial, v, p) << "\n";
-    }
-    return file.commit();
+    return SweepCheckpointWriter(path, spec).commit(partial);
 }
 
 Expected<CheckpointData>

@@ -6,12 +6,22 @@
  * runSweep's checkpoint/resume and the snoop_merge shard combiner
  * (docs/SHARDING.md).
  *
- * A checkpoint is a line-delimited JSON file, rewritten atomically at
+ * A checkpoint is a line-delimited JSON file, replaced atomically at
  * every commit through util/atomic_file.hh (fsync'd temp + rename +
  * directory fsync), so the file on disk is always a complete,
  * internally consistent snapshot - a SIGKILL or power cut between
  * commits loses at most checkpointEvery cells of work, never the
  * file.
+ *
+ * A commit costs O(new cells), not O(all cells): SweepCheckpointWriter
+ * streams the previous commit's bytes into the new temporary and
+ * serializes only the cells evaluated since. It carries bytes forward
+ * only when the file on disk is the one it last committed (same size,
+ * inode, and mtime) and every new cell comes after the last committed
+ * one; otherwise - the first commit, a resume whose restored cells
+ * leave gaps, a file changed by someone else, the commit after a
+ * failed one - it rewrites the file in full. Either way the bytes are
+ * exactly those a full rewrite of the same cells would produce.
  *
  * Line 1 is a versioned, self-validating header: it carries the
  * format tag, the format version, a checksum of the header itself,
@@ -38,6 +48,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,8 +127,53 @@ Expected<void> mvaResultFromJson(const JsonValue &value, MvaResult &out);
 bool checkpointExists(const std::string &path);
 
 /**
+ * The commit path of one sweep's checkpoint file. Each commit()
+ * atomically persists every evaluated cell of a partial result for
+ * the shard slice of the spec - the same bytes at any commit cadence
+ * - carrying the previous commit's bytes forward when it safely can
+ * (the file comment). Holds only the header line and the position of
+ * its last successful commit, never serialized cells.
+ */
+class SweepCheckpointWriter
+{
+  public:
+    SweepCheckpointWriter(std::string path, const SweepSpec &spec);
+
+    /**
+     * Atomically persist every evaluated cell of @p partial. IoError
+     * when the atomic commit fails; the previous checkpoint, if any,
+     * survives, and the next commit rewrites the file in full.
+     */
+    Expected<void> commit(const SweepResult &partial);
+
+  private:
+    /** What identifies the file this writer last committed. */
+    struct FileStamp
+    {
+        uint64_t size = 0, device = 0, inode = 0;
+        int64_t mtimeNs = 0;
+        bool operator==(const FileStamp &) const = default;
+    };
+
+    static std::optional<FileStamp> stampOf(const std::string &path);
+    bool canCarryForward(const SweepResult &partial) const;
+
+    std::string path_;
+    std::string header_; ///< the header line, newline included
+    size_t protocols_ = 0;
+    size_t begin_ = 0, end_ = 0; ///< the shard's cell range
+
+    // The last successful commit (meaningful only when committed_).
+    bool committed_ = false;
+    FileStamp stamp_;
+    size_t cells_ = 0;    ///< cell lines in the file
+    size_t nextCell_ = 0; ///< one past the file's last cell line
+};
+
+/**
  * Atomically persist every evaluated cell of @p partial (results and
- * error cells) for the shard slice of @p spec. IoError when the
+ * error cells) for the shard slice of @p spec: a fresh
+ * SweepCheckpointWriter's full-rewrite commit. IoError when the
  * atomic commit fails; the previous checkpoint, if any, survives.
  */
 Expected<void> writeSweepCheckpoint(const std::string &path,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "core/checkpoint.hh"
@@ -374,6 +375,9 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
     TraceSpan sweep_span(TraceLevel::Phase, "sweep.run", grid_cells);
     const size_t batch_size =
         checkpointing ? spec.checkpointEvery : pending.size();
+    std::optional<SweepCheckpointWriter> checkpoint;
+    if (checkpointing)
+        checkpoint.emplace(spec.checkpointPath, spec);
     size_t checkpoint_ordinal = 0;
     for (size_t start = 0; start < pending.size();
          start += batch_size) {
@@ -458,9 +462,7 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
         }
         if (checkpointing) {
             ++checkpoint_ordinal;
-            if (auto written = writeSweepCheckpoint(
-                    spec.checkpointPath, spec, res);
-                !written) {
+            if (auto written = checkpoint->commit(res); !written) {
                 SolveError err = written.error();
                 err.withContext(
                     "checkpointing sweep progress (completed work up "

@@ -7,6 +7,8 @@
 #include "observe/trace.hh"
 #include "util/contracts.hh"
 #include "util/expected.hh"
+#include "util/fault.hh"
+#include "util/fixed_point.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -65,7 +67,7 @@ pBusyFromUtil(double util, double customers)
 
 HierarchicalResult
 solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
-          double damping)
+          double damping, bool force_nonconverge)
 {
     const double proc_total = static_cast<double>(c.totalProcessors());
     const double proc_cluster =
@@ -126,7 +128,8 @@ solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
         res.iterations = it;
         res.localBusUtil = std::min(u_l, 1.0);
         res.globalBusUtil = std::min(u_g, 1.0);
-        if (delta < opts.tolerance * std::max(1.0, std::fabs(r_total))) {
+        if (!force_nonconverge &&
+            delta < opts.tolerance * std::max(1.0, std::fabs(r_total))) {
             res.converged = true;
             break;
         }
@@ -164,14 +167,17 @@ solveHierarchical(const HierarchicalConfig &config,
         }
     };
 
-    HierarchicalResult res = solveOnce(config, options, options.damping);
-    observeAttempt(0, options.damping, res);
-    size_t rung = 0;
-    for (double damping : {0.5, 0.25, 0.1, 0.05}) {
-        if (res.converged || damping >= options.damping)
-            break;
-        res = solveOnce(config, options, damping);
-        observeAttempt(++rung, damping, res);
+    // The configured damping first, then every shared rung strictly
+    // below it, as MvaSolver does (util/fixed_point.hh).
+    const std::vector<double> ladder = recoveryLadder(options.damping);
+    HierarchicalResult res =
+        solveOnce(config, options, ladder[0],
+                  faultArmed("mva.hierarchical.first_attempt"));
+    observeAttempt(0, ladder[0], res);
+    for (size_t rung = 1; rung < ladder.size() && !res.converged;
+         ++rung) {
+        res = solveOnce(config, options, ladder[rung], false);
+        observeAttempt(rung, ladder[rung], res);
     }
     if (!res.converged) {
         switch (options.onNonConvergence) {

@@ -8,6 +8,8 @@
 #include "observe/trace.hh"
 #include "util/contracts.hh"
 #include "util/expected.hh"
+#include "util/fault.hh"
+#include "util/fixed_point.hh"
 #include "util/logging.hh"
 
 namespace snoop {
@@ -30,7 +32,7 @@ constexpr double kAppendixBBlockCycles = 4.0;
 
 MulticlassResult
 solveOnce(const std::vector<ProcessorClass> &classes,
-          const MvaOptions &opts, double damping)
+          const MvaOptions &opts, double damping, bool force_nonconverge)
 {
     size_t num_classes = classes.size();
     const BusTiming &timing = classes.front().inputs.timing;
@@ -173,7 +175,7 @@ solveOnce(const std::vector<ProcessorClass> &classes,
         res.busUtil = std::min(u_bus, 1.0);
         res.memUtil = std::min(u_mem, 1.0);
         res.wMem = w_mem;
-        if (max_delta < opts.tolerance) {
+        if (!force_nonconverge && max_delta < opts.tolerance) {
             res.converged = true;
             break;
         }
@@ -247,14 +249,17 @@ solveMulticlass(const std::vector<ProcessorClass> &classes,
         }
     };
 
-    MulticlassResult res = solveOnce(classes, options, options.damping);
-    observeAttempt(0, options.damping, res);
-    size_t rung = 0;
-    for (double damping : {0.5, 0.25, 0.1, 0.05}) {
-        if (res.converged || damping >= options.damping)
-            break;
-        res = solveOnce(classes, options, damping);
-        observeAttempt(++rung, damping, res);
+    // The configured damping first, then every shared rung strictly
+    // below it, as MvaSolver does (util/fixed_point.hh).
+    const std::vector<double> ladder = recoveryLadder(options.damping);
+    MulticlassResult res =
+        solveOnce(classes, options, ladder[0],
+                  faultArmed("mva.multiclass.first_attempt"));
+    observeAttempt(0, ladder[0], res);
+    for (size_t rung = 1; rung < ladder.size() && !res.converged;
+         ++rung) {
+        res = solveOnce(classes, options, ladder[rung], false);
+        observeAttempt(rung, ladder[rung], res);
     }
     if (!res.converged) {
         switch (options.onNonConvergence) {

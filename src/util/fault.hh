@@ -33,6 +33,12 @@
  *  | mva.nan                   | NaN bus wait inside the MVA iteration |
  *  | mva.nonconverge           | MVA attempt never converges           |
  *  | mva.first_attempt         | first MVA attempt fails (recovers)    |
+ *  | mva.multiclass.first_attempt                                      |
+ *  |                           | first solveMulticlass attempt fails   |
+ *  |                           | (recovers)                            |
+ *  | mva.hierarchical.first_attempt                                    |
+ *  |                           | first solveHierarchical attempt fails |
+ *  |                           | (recovers)                            |
  *  | sweep.cell                | keyed: sweep cell throws              |
  *  | sweep.checkpoint          | keyed by checkpoint ordinal: the      |
  *  |                           | sweep aborts after that commit (the   |

@@ -1,5 +1,6 @@
 #include "util/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -326,9 +327,35 @@ serializeString(const std::string &s, std::string &out)
 }
 
 /**
- * Shortest decimal form that parses back to the same bits: try
- * increasing precision until the round trip is exact. Deterministic,
- * and "16" stays "16" instead of "16.000000000000000".
+ * The fewest significant digits that round-trip @p v (finite), read
+ * off std::to_chars' shortest scientific form ("-1.25e-07" -> 3).
+ */
+int
+shortestDigits(double v)
+{
+    char buf[40];
+    // 40 bytes hold any double's shortest form, so to_chars cannot
+    // fail here.
+    const char *end = std::to_chars(buf, buf + sizeof buf, v,
+                                    std::chars_format::scientific)
+                          .ptr;
+    int digits = 0;
+    for (const char *c = buf; c != end && *c != 'e'; ++c)
+        digits += (*c >= '0' && *c <= '9') ? 1 : 0;
+    return digits;
+}
+
+/**
+ * Shortest decimal form that parses back to the same bits, in %g
+ * notation: the first precision whose %.*g output round-trips exactly.
+ * Deterministic, and "16" stays "16" instead of "16.000000000000000".
+ *
+ * The search starts at std::to_chars' shortest digit count P rather
+ * than at 1. No precision below P can round-trip (to_chars returns the
+ * fewest digits that do, and %.*g rounds correctly), so the bytes are
+ * those of a search from 1, and one snprintf/strtod pair almost always
+ * settles it. The loop still runs on from P because %.Pg may round to
+ * the other neighbour of a power of two and fail; P+1 then succeeds.
  */
 void
 serializeNumber(double v, std::string &out)
@@ -341,7 +368,9 @@ serializeNumber(double v, std::string &out)
         out += buf;
         return;
     }
-    for (int prec = 1; prec <= 17; ++prec) {
+    // inf/nan print the same at every precision.
+    const int first = std::isfinite(v) ? shortestDigits(v) : 17;
+    for (int prec = first; prec <= 17; ++prec) {
         std::snprintf(buf, sizeof buf, "%.*g", prec, v);
         if (std::strtod(buf, nullptr) == v)
             break;

@@ -4,7 +4,10 @@
  * fields, and every corruption - garbled header, flipped bytes,
  * truncated cells, bumped version, out-of-order or out-of-range cells
  * - is rejected with a structured error naming the file and offset,
- * never silently reused.
+ * never silently reused. The carry-forward commit path writes exactly
+ * the bytes of a full rewrite at every cadence, across resumes with
+ * gaps, files changed between commits, and failed commits - and
+ * serializes each cell of a fresh sweep exactly once.
  */
 
 #include <cmath>
@@ -18,6 +21,7 @@
 
 #include "core/checkpoint.hh"
 #include "core/sweep.hh"
+#include "observe/metrics.hh"
 #include "protocol/catalog.hh"
 #include "util/fault.hh"
 
@@ -54,6 +58,47 @@ smallSpec()
     return spec;
 }
 
+/** A grid of @p values x @p protocols cells (ProtocolConfig order). */
+SweepSpec
+gridSpec(size_t values, unsigned protocols)
+{
+    SweepSpec spec = smallSpec();
+    spec.values.clear();
+    for (size_t i = 0; i < values; ++i)
+        spec.values.push_back(0.02 + 0.9 * static_cast<double>(i) /
+                                         static_cast<double>(values));
+    spec.protocols.clear();
+    for (unsigned i = 0; i < protocols; ++i)
+        spec.protocols.push_back(ProtocolConfig::fromIndex(i));
+    return spec;
+}
+
+/** @p full with only the cells in [@p begin, @p end) evaluated. */
+SweepResult
+onlyCells(const SweepResult &full, size_t begin, size_t end)
+{
+    SweepResult out = full;
+    const size_t protocols = full.spec.protocols.size();
+    for (size_t v = 0; v < out.evaluated.size(); ++v) {
+        for (size_t p = 0; p < protocols; ++p) {
+            size_t cell = v * protocols + p;
+            out.evaluated[v][p] = cell >= begin && cell < end;
+        }
+    }
+    return out;
+}
+
+/** The checkpoint-cell serialization counter's running total. */
+double
+cellsSerialized()
+{
+    for (const MetricEntry &e : metrics().snapshot()) {
+        if (e.name == "sweep.checkpoint_cells_serialized")
+            return e.total;
+    }
+    return 0.0;
+}
+
 /** A checkpoint-file fixture: every test gets a fresh temp path. */
 class Checkpoint : public testing::Test
 {
@@ -62,15 +107,32 @@ class Checkpoint : public testing::Test
     {
         clearFaultSpecs();
         path_ = testing::TempDir() + "snoop_ckpt_test.ckpt";
+        ref_ = testing::TempDir() + "snoop_ckpt_test.ref";
         std::remove(path_.c_str());
+        std::remove(ref_.c_str());
+        metrics().reset();
+        metrics().setEnabled(true);
     }
     void TearDown() override
     {
         clearFaultSpecs();
+        metrics().setEnabled(false);
+        metrics().reset();
         std::remove(path_.c_str());
+        std::remove(ref_.c_str());
+    }
+
+    /** The bytes of one full rewrite of @p partial. */
+    std::string fullRewrite(const SweepSpec &spec,
+                            const SweepResult &partial)
+    {
+        std::remove(ref_.c_str());
+        EXPECT_TRUE(writeSweepCheckpoint(ref_, spec, partial).ok());
+        return slurp(ref_);
     }
 
     std::string path_;
+    std::string ref_; ///< where reference full rewrites go
 };
 
 TEST(CheckpointCodec, MvaResultRoundTripsBitExactly)
@@ -389,6 +451,141 @@ TEST_F(Checkpoint, FailedCheckpointCommitIsAStructuredError)
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.error().code, SolveErrorCode::IoError);
     EXPECT_NE(res.error().message.find("fsync"), std::string::npos);
+}
+
+TEST_F(Checkpoint, EveryCadenceCommitsTheBytesOfOneFullRewrite)
+{
+    for (size_t every : {1u, 7u, 32u}) {
+        SCOPED_TRACE(every);
+        std::remove(path_.c_str());
+        SweepSpec spec = gridSpec(24, 4);
+        spec.checkpointPath = path_;
+        spec.checkpointEvery = every;
+        // Error cells ride along too.
+        ASSERT_TRUE(setFaultSpecs("sweep.cell:every=11").ok());
+        testing::internal::CaptureStderr();
+        auto res = tryRunSweep(spec);
+        testing::internal::GetCapturedStderr();
+        clearFaultSpecs();
+        ASSERT_TRUE(res.ok()) << res.error().describe();
+        ASSERT_GT(res.value().failureCount(), 0u);
+        EXPECT_EQ(slurp(path_), fullRewrite(spec, res.value()));
+    }
+}
+
+TEST_F(Checkpoint, ResumeWithGapsMatchesTheUninterruptedRun)
+{
+    SweepSpec spec = gridSpec(24, 4);
+    spec.checkpointPath = path_;
+    spec.checkpointEvery = 5;
+    auto golden = tryRunSweep(spec);
+    ASSERT_TRUE(golden.ok());
+    const std::string golden_bytes = slurp(path_);
+
+    // A hand-built checkpoint whose restored cells are not a prefix:
+    // the first commits fill gaps below the last restored cell.
+    SweepResult partial = onlyCells(golden.value(), 0, 0);
+    for (size_t cell : {0u, 1u, 2u, 7u, 8u, 20u, 33u, 34u, 60u}) {
+        partial.evaluated[cell / 4][cell % 4] = 1;
+    }
+    std::remove(path_.c_str());
+    ASSERT_TRUE(writeSweepCheckpoint(path_, spec, partial).ok());
+
+    testing::internal::CaptureStderr();
+    auto resumed = tryRunSweep(spec);
+    testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(resumed.ok()) << resumed.error().describe();
+    EXPECT_EQ(slurp(path_), golden_bytes);
+    EXPECT_EQ(resumed.value().csv(), golden.value().csv());
+    EXPECT_EQ(resumed.value().cellCsv(), golden.value().cellCsv());
+}
+
+TEST_F(Checkpoint, ChangedFileIsRewrittenInFullNeverCarriedForward)
+{
+    SweepSpec spec = gridSpec(10, 4);
+    auto full = tryRunSweep(spec);
+    ASSERT_TRUE(full.ok());
+    const SweepResult first = onlyCells(full.value(), 0, 16);
+    const SweepResult second = onlyCells(full.value(), 0, 40);
+    const std::string expect = fullRewrite(spec, second);
+
+    struct Change
+    {
+        const char *what;
+        void (*apply)(const std::string &path);
+    };
+    const Change changes[] = {
+        {"appended to",
+         [](const std::string &path) {
+             std::ofstream(path, std::ios::app) << "{\"cell\":39}\n";
+         }},
+        {"truncated",
+         [](const std::string &path) {
+             std::string bytes = slurp(path);
+             spit(path, bytes.substr(0, bytes.size() - 10));
+         }},
+        {"replaced by a same-size copy",
+         [](const std::string &path) {
+             std::string copy = path + ".copy";
+             spit(copy, slurp(path));
+             ASSERT_EQ(std::rename(copy.c_str(), path.c_str()), 0);
+         }},
+    };
+    for (const Change &change : changes) {
+        SCOPED_TRACE(change.what);
+        std::remove(path_.c_str());
+        SweepCheckpointWriter writer(path_, spec);
+        ASSERT_TRUE(writer.commit(first).ok());
+        change.apply(path_);
+        metrics().reset();
+        ASSERT_TRUE(writer.commit(second).ok());
+        EXPECT_EQ(cellsSerialized(), 40.0); // every cell, in full
+        EXPECT_EQ(slurp(path_), expect);
+    }
+}
+
+TEST_F(Checkpoint, FailedCommitIsFollowedByAFullRewrite)
+{
+    SweepSpec spec = gridSpec(10, 4);
+    auto full = tryRunSweep(spec);
+    ASSERT_TRUE(full.ok());
+    const SweepResult first = onlyCells(full.value(), 0, 8);
+    const SweepResult third = onlyCells(full.value(), 0, 40);
+    for (const char *site : {"io.commit", "io.fsync"}) {
+        SCOPED_TRACE(site);
+        std::remove(path_.c_str());
+        SweepCheckpointWriter writer(path_, spec);
+        ASSERT_TRUE(writer.commit(first).ok());
+        const std::string first_bytes = slurp(path_);
+
+        ASSERT_TRUE(setFaultSpecs(site).ok());
+        auto failed = writer.commit(onlyCells(full.value(), 0, 24));
+        clearFaultSpecs();
+        ASSERT_FALSE(failed.ok());
+        EXPECT_EQ(failed.error().code, SolveErrorCode::IoError);
+        EXPECT_EQ(slurp(path_), first_bytes); // the last commit survives
+
+        metrics().reset();
+        ASSERT_TRUE(writer.commit(third).ok());
+        EXPECT_EQ(cellsSerialized(), 40.0); // not carried forward
+        EXPECT_EQ(slurp(path_), fullRewrite(spec, third));
+    }
+}
+
+TEST_F(Checkpoint, FreshSweepSerializesEachCellExactlyOnce)
+{
+    // The machine-independent guard against quadratic commits: 128
+    // commits of 8 cells must serialize 1024 cell lines, not the
+    // 66 048 a rewrite of every committed cell at every commit costs.
+    SweepSpec spec = gridSpec(64, 16);
+    spec.checkpointPath = path_;
+    spec.checkpointEvery = 8;
+    auto res = tryRunSweep(spec);
+    ASSERT_TRUE(res.ok());
+    ASSERT_EQ(res.value().evaluatedCount(), 1024u);
+    EXPECT_EQ(cellsSerialized(),
+              static_cast<double>(res.value().evaluatedCount()));
+    EXPECT_EQ(slurp(path_), fullRewrite(spec, res.value()));
 }
 
 TEST(ShardSlices, RangesAreContiguousExhaustiveAndOrdered)

@@ -15,6 +15,9 @@
 
 #include "core/sweep.hh"
 #include "core/validation.hh"
+#include "mva/hierarchical.hh"
+#include "mva/multiclass.hh"
+#include "observe/metrics.hh"
 #include "sim/prob_sim.hh"
 #include "util/csv.hh"
 #include "util/fault.hh"
@@ -284,6 +287,83 @@ TEST_F(FaultInjection, LadderFiresForConfiguredDampingBelowHalf)
     EXPECT_FALSE(attempts[0].converged);
     EXPECT_DOUBLE_EQ(attempts[1].damping, 0.25);
     EXPECT_TRUE(attempts.back().converged);
+}
+
+/** The counter @p name's total since the last metrics().reset(). */
+double
+counterTotal(const char *name)
+{
+    for (const MetricEntry &e : metrics().snapshot()) {
+        if (e.name == name)
+            return e.total;
+    }
+    return 0.0;
+}
+
+TEST_F(FaultInjection, MulticlassLadderFiresForConfiguredDampingBelowHalf)
+{
+    // The dead-ladder regression again, in solveMulticlass: with the
+    // first attempt at damping 0.3 forced to fail, the 0.25 rung must
+    // rescue the solve - landing on exactly what a clean solve at
+    // 0.25 computes.
+    auto wo = DerivedInputs::compute(
+        presets::appendixA(SharingLevel::FivePercent),
+        ProtocolConfig::writeOnce());
+    auto il = DerivedInputs::compute(
+        presets::appendixA(SharingLevel::TwentyPercent),
+        *findProtocol("Illinois"));
+    const std::vector<ProcessorClass> classes = {{"wo", 4, wo},
+                                                 {"il", 6, il}};
+    MvaOptions rung;
+    rung.damping = 0.25;
+    const MulticlassResult direct = solveMulticlass(classes, rung);
+    ASSERT_TRUE(direct.converged);
+
+    MvaOptions opts;
+    opts.damping = 0.3;
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    metrics().reset();
+    metrics().setEnabled(true);
+    ASSERT_TRUE(setFaultSpecs("mva.multiclass.first_attempt").ok());
+    const MulticlassResult r = solveMulticlass(classes, opts);
+    metrics().setEnabled(false);
+    EXPECT_EQ(counterTotal("mva.multiclass.attempts"), 2.0);
+    metrics().reset();
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, direct.iterations);
+    EXPECT_EQ(r.totalSpeedup, direct.totalSpeedup);
+    EXPECT_EQ(r.wBus, direct.wBus);
+}
+
+TEST_F(FaultInjection, HierarchicalLadderFiresForConfiguredDampingBelowHalf)
+{
+    // The same regression in solveHierarchical.
+    HierarchicalConfig config;
+    config.clusters = 4;
+    config.processorsPerCluster = 4;
+    config.pLocal = 0.92;
+    config.tLocalBus = 5.0;
+    config.pRemote = 0.3;
+    config.tGlobalBus = 9.0;
+    MvaOptions rung;
+    rung.damping = 0.25;
+    const HierarchicalResult direct = solveHierarchical(config, rung);
+    ASSERT_TRUE(direct.converged);
+
+    MvaOptions opts;
+    opts.damping = 0.3;
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    metrics().reset();
+    metrics().setEnabled(true);
+    ASSERT_TRUE(setFaultSpecs("mva.hierarchical.first_attempt").ok());
+    const HierarchicalResult r = solveHierarchical(config, opts);
+    metrics().setEnabled(false);
+    EXPECT_EQ(counterTotal("mva.hierarchical.attempts"), 2.0);
+    metrics().reset();
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, direct.iterations);
+    EXPECT_EQ(r.speedup, direct.speedup);
+    EXPECT_EQ(r.wGlobalBus, direct.wGlobalBus);
 }
 
 TEST_F(FaultInjection, NanFaultSurfacesAsStructuredError)

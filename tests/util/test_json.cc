@@ -6,7 +6,19 @@
  * offsets, escape handling including surrogate pairs, the depth
  * bound, the non-finite-number rejection the admission contract
  * relies on, and the SolveError round trip error cells ride on.
+ * The number formatter is checked byte for byte against the plain
+ * 1..17 precision search it replaces, on a million seeded random bit
+ * patterns and on the edge cases of %g formatting.
  */
+
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +62,121 @@ TEST(Json, NumbersRoundTripShortest)
     ASSERT_TRUE(bool(r));
     EXPECT_EQ(r.value().asNumber(), v);
     EXPECT_EQ(serializeJson(JsonValue(0.1)), "0.1");
+}
+
+/**
+ * The formatter's specification as a plain search: integers below
+ * 1e15 in fixed notation, everything else as the first %.*g precision
+ * in 1..17 that round-trips. serializeNumber starts the same search
+ * at std::to_chars' shortest digit count; this oracle proves the
+ * bytes did not move.
+ */
+std::string
+oracleNumber(double v)
+{
+    char buf[40];
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        std::snprintf(buf, sizeof buf, "%.0f", v);
+        return buf;
+    }
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+/** Count of formatter/oracle disagreements; prints the first few. */
+size_t
+mismatches(const std::vector<double> &values)
+{
+    size_t bad = 0;
+    for (double v : values) {
+        std::string got = serializeJson(JsonValue(v));
+        std::string want = oracleNumber(v);
+        if (got != want && ++bad <= 5) {
+            ADD_FAILURE() << "bits " << std::hexfloat << v << ": got "
+                          << got << ", oracle " << want;
+        }
+    }
+    return bad;
+}
+
+double
+fromBits(uint64_t bits)
+{
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+TEST(JsonNumbers, MatchTheFullPrecisionSearchOnRandomBitPatterns)
+{
+    std::mt19937_64 rng(20240611);
+    std::vector<double> values;
+    values.reserve(1 << 16);
+    size_t bad = 0;
+    for (int chunk = 0; chunk < 16; ++chunk) {
+        values.clear();
+        for (int i = 0; i < (1 << 16); ++i)
+            values.push_back(fromBits(rng()));
+        bad += mismatches(values);
+    }
+    EXPECT_EQ(bad, 0u) << "over 2^20 random bit patterns";
+}
+
+TEST(JsonNumbers, MatchTheFullPrecisionSearchOnEdgeCases)
+{
+    std::vector<double> values;
+    auto withNeighbours = [&values](double v) {
+        for (double x : {v, std::nextafter(v, 0.0),
+                         std::nextafter(v, HUGE_VAL),
+                         std::nextafter(v, -HUGE_VAL)}) {
+            values.push_back(x);
+            values.push_back(-x);
+        }
+    };
+    // Every power of two down to the smallest subnormal, 2^-1074 -
+    // where %.Pg can round to the other neighbour and need P+1.
+    for (int e = 1023; e >= -1074; --e)
+        withNeighbours(std::ldexp(1.0, e));
+    // Subnormals: the extremes and a seeded spread between them.
+    withNeighbours(std::numeric_limits<double>::denorm_min());
+    withNeighbours(DBL_MIN);
+    std::mt19937_64 rng(7);
+    for (int i = 0; i < 4096; ++i)
+        values.push_back(fromBits(rng() & ((uint64_t{1} << 52) - 1)));
+    // The %g switch from fixed to scientific below 1e-4.
+    for (double v : {1e-4, 1e-5, 9.99999e-5, 1.00001e-4, 0.00012345,
+                     0.000012345, 9.9999999999999991e-5})
+        withNeighbours(v);
+    // The 1e15 integer cut-off, and the %g switch above it.
+    for (double v : {1e15, 1e15 + 1, 1e15 - 1, 1e15 + 0.5, 1e15 - 0.5,
+                     999999999999999.9, 1e16, 1e17, 9007199254740992.0,
+                     123456789012345.67, 1e21, 1e22})
+        withNeighbours(v);
+    // -0.0, the extremes, and values that need all 17 digits.
+    for (double v : {0.0, DBL_MAX, DBL_EPSILON, 0.1 + 0.2, 1.0 / 3.0,
+                     2.0 / 3.0, 5e-324, 1.7976931348623157e308,
+                     2.2250738585072009e-308, 0.30000000000000004,
+                     9007199254740993.0 / 3.0, 4.35, 0.1, 1e23,
+                     8.41e21, 5.0e-310})
+        withNeighbours(v);
+    values.push_back(-0.0);
+    values.push_back(HUGE_VAL);
+    values.push_back(-HUGE_VAL);
+    EXPECT_EQ(mismatches(values), 0u);
+    EXPECT_EQ(serializeJson(JsonValue(-0.0)), "-0");
+    EXPECT_EQ(serializeJson(JsonValue(DBL_MAX)),
+              "1.7976931348623157e+308");
+    EXPECT_EQ(serializeJson(JsonValue(0.1 + 0.2)),
+              "0.30000000000000004");
+    EXPECT_EQ(serializeJson(JsonValue(1e-5)), "1e-05");
+    EXPECT_EQ(serializeJson(JsonValue(0.0001)), "0.0001");
+    EXPECT_EQ(serializeJson(JsonValue(1e15)), "1e+15");
+    EXPECT_EQ(serializeJson(JsonValue(999999999999999.0)),
+              "999999999999999");
 }
 
 TEST(Json, ObjectKeysSerializeSorted)
