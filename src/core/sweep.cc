@@ -340,7 +340,9 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
                          std::vector<char>(num_protocols, 0));
 
     const bool checkpointing = !spec.checkpointPath.empty();
-    if (checkpointing && checkpointExists(spec.checkpointPath)) {
+    const bool resuming =
+        checkpointing && checkpointExists(spec.checkpointPath);
+    if (resuming) {
         auto data = readSweepCheckpoint(spec.checkpointPath);
         if (!data) {
             return std::move(data).error().withContext(
@@ -379,6 +381,36 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
     if (checkpointing)
         checkpoint.emplace(spec.checkpointPath, spec);
     size_t checkpoint_ordinal = 0;
+    auto commitCheckpoint = [&]() -> std::optional<SolveError> {
+        ++checkpoint_ordinal;
+        if (auto written = checkpoint->commit(res); !written) {
+            SolveError err = written.error();
+            err.withContext(
+                "checkpointing sweep progress (completed work up to "
+                "the previous commit survives)");
+            return err;
+        }
+        metricAdd("sweep.checkpoints");
+        // The chaos harness's crash point: the commit above
+        // SUCCEEDED, so aborting here is exactly "the process died
+        // between checkpoints" - the strongest point to prove resume
+        // from (docs/SHARDING.md).
+        if (faultFires("sweep.checkpoint", checkpoint_ordinal)) {
+            return injectedFault("sweep.checkpoint", checkpoint_ordinal)
+                .withContext(strprintf(
+                    "sweep aborted after checkpoint %zu of '%s' (chaos "
+                    "harness crash point; resume to continue)",
+                    checkpoint_ordinal, spec.checkpointPath.c_str()));
+        }
+        return std::nullopt;
+    };
+    // A shard whose slice of the grid is empty still owes snoop_merge
+    // its checkpoint: with no batch to commit after, write the
+    // header-only file once.
+    if (checkpointing && pending.empty() && !resuming) {
+        if (auto err = commitCheckpoint())
+            return std::move(*err);
+    }
     for (size_t start = 0; start < pending.size();
          start += batch_size) {
         const size_t batch =
@@ -461,29 +493,8 @@ tryRunSweep(const SweepSpec &spec, const Analyzer &analyzer)
                 1;
         }
         if (checkpointing) {
-            ++checkpoint_ordinal;
-            if (auto written = checkpoint->commit(res); !written) {
-                SolveError err = written.error();
-                err.withContext(
-                    "checkpointing sweep progress (completed work up "
-                    "to the previous commit survives)");
-                return err;
-            }
-            metricAdd("sweep.checkpoints");
-            // The chaos harness's crash point: the commit above
-            // SUCCEEDED, so aborting here is exactly "the process
-            // died between checkpoints" - the strongest point to
-            // prove resume from (docs/SHARDING.md).
-            if (faultFires("sweep.checkpoint", checkpoint_ordinal)) {
-                return injectedFault("sweep.checkpoint",
-                                     checkpoint_ordinal)
-                    .withContext(strprintf(
-                        "sweep aborted after checkpoint %zu of '%s' "
-                        "(chaos harness crash point; resume to "
-                        "continue)",
-                        checkpoint_ordinal,
-                        spec.checkpointPath.c_str()));
-            }
+            if (auto err = commitCheckpoint())
+                return std::move(*err);
         }
     }
     if (size_t failed = res.failureCount(); failed > 0) {

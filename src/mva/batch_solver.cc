@@ -7,10 +7,10 @@
 #include <numeric>
 #include <optional>
 
+#include "mva/fixed_point.hh"
 #include "mva/kernel.hh"
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
-#include "util/fault.hh"
 #include "util/parallel.hh"
 #include "util/strutil.hh"
 
@@ -18,13 +18,6 @@ namespace snoop {
 
 namespace {
 
-using solve_clock = std::chrono::steady_clock;
-
-/**
- * Fault-site arming captured once per batch so injection is a pure
- * function of the configuration, never of block scheduling (the same
- * guarantee the scalar solver makes per solve).
- */
 /**
  * SoA widths per parallelFor work item. A work item is the unit of
  * pool parallelism AND the refill pool for one lockstep SoA: wider
@@ -36,21 +29,15 @@ using solve_clock = std::chrono::steady_clock;
  */
 constexpr size_t kBlocksPerItem = 8;
 
-struct InjectFlags
-{
-    bool nan = false;         ///< mva.nan: NaN w_bus at iteration 2
-    bool nonconverge = false; ///< mva.nonconverge: every attempt fails
-    bool first = false;       ///< mva.first_attempt: attempt 0 fails
-};
-
 /**
  * Structure-of-arrays state for one block of lanes: one contiguous
  * array per model variable, indexed by lane. This is the cold side -
- * ladder state, attempt records, measures, traces - shared by both
- * tick drivers; the fast path additionally mirrors the iterate and
- * step constants into the dense HotSoA below for the vectorized
- * tick, and lanes that finish (or fail admission) simply leave the
- * active mask.
+ * ladder state, measures, traces; the iterate and step constants are
+ * mirrored into the dense HotSoA below for the vectorized tick, and
+ * lanes that finish (or fail admission) simply leave the active mask.
+ * Each lane's ladder is the fixed-point driver's FixedPointLadder, so
+ * rungs, budgets, fault arming, attempt records and the disposition
+ * are the scalar solver's own.
  */
 struct LaneBlock
 {
@@ -63,14 +50,8 @@ struct LaneBlock
         tBus, tResBus, memUtil, pBusyMem, nInt, tInt;
     std::vector<double> residual;
     std::vector<int> iterations;  ///< iterations of the current attempt
-    std::vector<int> cap;         ///< iteration cap of the current attempt
-    std::vector<long> itersUsed;  ///< iterations across the whole ladder
-    std::vector<size_t> rung;     ///< current ladder rung index
-    std::vector<std::vector<double>> ladder;
-    std::vector<uint8_t> active, converged, nonFinite, budgetOut,
-        force, timed, warm, finished;
-    std::vector<solve_clock::time_point> deadline;
-    std::vector<std::vector<SolveAttempt>> attempts;
+    std::vector<std::optional<FixedPointLadder>> ladder;
+    std::vector<uint8_t> active, converged, nonFinite, warm;
     std::vector<std::vector<double>> convTrace;
     /** Per lane, per attempt: iteration deltas buffered for replay. */
     std::vector<std::vector<std::vector<double>>> replay;
@@ -81,11 +62,9 @@ struct LaneBlock
           qBus(m, 0.0), busUtil(m, 0.0), pBusyBus(m, 0.0),
           tBus(m, 0.0), tResBus(m, 0.0), memUtil(m, 0.0),
           pBusyMem(m, 0.0), nInt(m, 0.0), tInt(m, 0.0),
-          residual(m, 0.0), iterations(m, 0), cap(m, 0),
-          itersUsed(m, 0), rung(m, 0), ladder(m), active(m, 0),
-          converged(m, 0), nonFinite(m, 0), budgetOut(m, 0),
-          force(m, 0), timed(m, 0), warm(m, 0), finished(m, 0),
-          deadline(m), attempts(m), convTrace(m), replay(m)
+          residual(m, 0.0), iterations(m, 0), ladder(m), active(m, 0),
+          converged(m, 0), nonFinite(m, 0), warm(m, 0),
+          convTrace(m), replay(m)
     {
     }
 
@@ -106,7 +85,6 @@ struct LaneBlock
         iterations[i] = 0;
         converged[i] = 0;
         nonFinite[i] = 0;
-        budgetOut[i] = 0;
         convTrace[i].clear();
         if (record_iters)
             replay[i].emplace_back();
@@ -132,23 +110,17 @@ replayLaneTrace(const MvaJob &job, const LaneBlock &blk, size_t i)
                                blk.warm[i] ? "true" : "false"));
     }
     const bool iter_trace = traceEnabled(TraceLevel::Iteration);
-    for (size_t k = 0; k < blk.attempts[i].size(); ++k) {
-        const SolveAttempt &a = blk.attempts[i][k];
+    const std::vector<SolveAttempt> &attempts = blk.ladder[i]->attempts();
+    for (size_t k = 0; k < attempts.size(); ++k) {
+        const SolveAttempt &a = attempts[k];
         if (iter_trace && k < blk.replay[i].size()) {
             const std::vector<double> &deltas = blk.replay[i][k];
             for (size_t t = 0; t < deltas.size(); ++t) {
-                traceInstant(TraceLevel::Iteration, "mva.iteration",
-                             static_cast<uint64_t>(t + 1),
-                             strprintf("\"delta\":%.17g,\"damping\":%g",
-                                       deltas[t], a.damping));
+                traceFixedPointIteration(kMvaSite, static_cast<int>(t + 1),
+                                         deltas[t], a.damping);
             }
         }
-        traceInstant(TraceLevel::Phase, "mva.attempt",
-                     static_cast<uint64_t>(k),
-                     strprintf("\"damping\":%g,\"iterations\":%d,"
-                               "\"residual\":%.17g,\"converged\":%s",
-                               a.damping, a.iterations, a.residual,
-                               a.converged ? "true" : "false"));
+        traceFixedPointAttempt(kMvaSite, k, a);
     }
 }
 
@@ -241,11 +213,12 @@ struct HotSoA
         pprevWb.push_back(0.0);
         pprevWm.push_back(0.0);
         pprevRt.push_back(0.0);
-        damp.push_back(blk.ladder[i][blk.rung[i]]);
-        tol.push_back(job.opts.tolerance);
+        const FixedPointLadder &lad = *blk.ladder[i];
+        damp.push_back(lad.damping());
+        tol.push_back(tolerance(lad, job));
         delta.push_back(0.0);
         iterD.push_back(0.0);
-        capD.push_back(static_cast<double>(blk.cap[i]));
+        capD.push_back(static_cast<double>(lad.tickLimit()));
         done.push_back(0.0);
         lane.push_back(i);
         ++n;
@@ -261,15 +234,26 @@ struct HotSoA
         std::swap(pprevRt, prevRt);
     }
 
+    /** The tick's convergence tolerance for a lane's current
+     * attempt: zero - never passed - while a fault forces the attempt
+     * to fail. */
+    static double tolerance(const FixedPointLadder &lad, const MvaJob &job)
+    {
+        return lad.forced() ? 0.0 : job.opts.tolerance;
+    }
+
     /** Re-seed slot @p s after LaneBlock::restartAttempt reset lane
      * @p i for the next ladder rung. */
-    void restartSlot(size_t s, const LaneBlock &blk, size_t i)
+    void restartSlot(size_t s, const LaneBlock &blk, const MvaJob &job,
+                     size_t i)
     {
+        const FixedPointLadder &lad = *blk.ladder[i];
         wb[s] = blk.wBus[i];
         wm[s] = blk.wMem[i];
         rt[s] = blk.rTotal[i];
-        damp[s] = blk.ladder[i][blk.rung[i]];
-        capD[s] = static_cast<double>(blk.cap[i]);
+        damp[s] = lad.damping();
+        tol[s] = tolerance(lad, job);
+        capD[s] = static_cast<double>(lad.tickLimit());
         iterD[s] = 0.0;
         done[s] = 0.0;
     }
@@ -279,75 +263,28 @@ struct HotSoA
      * states travel with it) and shrink the dense prefix. */
     void removeSlot(size_t s)
     {
+        static constexpr std::vector<double> HotSoA::*kColumns[] = {
+            &HotSoA::numProc, &HotSoA::tau, &HotSoA::pLocal, &HotSoA::pBc,
+            &HotSoA::pRr, &HotSoA::tRead, &HotSoA::memFactor,
+            &HotSoA::tWrite, &HotSoA::tSupply, &HotSoA::dMem,
+            &HotSoA::invModules, &HotSoA::p, &HotSoA::pPrime,
+            &HotSoA::log2PPrime, &HotSoA::tInt, &HotSoA::nMinus1,
+            &HotSoA::gt1, &HotSoA::wb, &HotSoA::wm, &HotSoA::rt,
+            &HotSoA::prevWb, &HotSoA::prevWm, &HotSoA::prevRt,
+            &HotSoA::pprevWb, &HotSoA::pprevWm, &HotSoA::pprevRt,
+            &HotSoA::damp, &HotSoA::tol, &HotSoA::delta, &HotSoA::iterD,
+            &HotSoA::capD, &HotSoA::done,
+        };
         const size_t b = n - 1;
-        numProc[s] = numProc[b];
-        tau[s] = tau[b];
-        pLocal[s] = pLocal[b];
-        pBc[s] = pBc[b];
-        pRr[s] = pRr[b];
-        tRead[s] = tRead[b];
-        memFactor[s] = memFactor[b];
-        tWrite[s] = tWrite[b];
-        tSupply[s] = tSupply[b];
-        dMem[s] = dMem[b];
-        invModules[s] = invModules[b];
-        p[s] = p[b];
-        pPrime[s] = pPrime[b];
-        log2PPrime[s] = log2PPrime[b];
-        tInt[s] = tInt[b];
-        nMinus1[s] = nMinus1[b];
-        gt1[s] = gt1[b];
-        wb[s] = wb[b];
-        wm[s] = wm[b];
-        rt[s] = rt[b];
-        prevWb[s] = prevWb[b];
-        prevWm[s] = prevWm[b];
-        prevRt[s] = prevRt[b];
-        pprevWb[s] = pprevWb[b];
-        pprevWm[s] = pprevWm[b];
-        pprevRt[s] = pprevRt[b];
-        damp[s] = damp[b];
-        tol[s] = tol[b];
-        delta[s] = delta[b];
-        iterD[s] = iterD[b];
-        capD[s] = capD[b];
-        done[s] = done[b];
-        lane[s] = lane[b];
         // Shrink every array with the live count so push() appends at
         // slot n again - a refilled lane must land inside the dense
         // prefix the tick iterates, not past it.
-        numProc.pop_back();
-        tau.pop_back();
-        pLocal.pop_back();
-        pBc.pop_back();
-        pRr.pop_back();
-        tRead.pop_back();
-        memFactor.pop_back();
-        tWrite.pop_back();
-        tSupply.pop_back();
-        dMem.pop_back();
-        invModules.pop_back();
-        p.pop_back();
-        pPrime.pop_back();
-        log2PPrime.pop_back();
-        tInt.pop_back();
-        nMinus1.pop_back();
-        gt1.pop_back();
-        wb.pop_back();
-        wm.pop_back();
-        rt.pop_back();
-        prevWb.pop_back();
-        prevWm.pop_back();
-        prevRt.pop_back();
-        pprevWb.pop_back();
-        pprevWm.pop_back();
-        pprevRt.pop_back();
-        damp.pop_back();
-        tol.pop_back();
-        delta.pop_back();
-        iterD.pop_back();
-        capD.pop_back();
-        done.pop_back();
+        for (std::vector<double> HotSoA::*column : kColumns) {
+            std::vector<double> &v = this->*column;
+            v[s] = v[b];
+            v.pop_back();
+        }
+        lane[s] = lane[b];
         lane.pop_back();
         n = b;
     }
@@ -514,35 +451,28 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
                            Expected<MvaResult> *out,
                            size_t lanes) const
 {
+    using clock = FixedPointLadder::clock;
     ScopedMetricTimer block_timer("mva.batch.block_us");
-
-    InjectFlags inj;
-    inj.nan = faultArmed("mva.nan");
-    inj.nonconverge = faultArmed("mva.nonconverge");
-    inj.first = faultArmed("mva.first_attempt");
     const bool record_iters = traceEnabled(TraceLevel::Iteration);
 
     LaneBlock blk(lanes);
-    size_t remaining = 0;
+    bool any_timed = false;
 
     // --- Admission: mirror the scalar trySolve prologue per lane ----
     for (size_t i = 0; i < lanes; ++i) {
         const MvaJob &job = jobs[idx[i]];
         if (auto err = checkMvaOptions(job.opts)) {
             out[idx[i]] = std::move(*err);
-            blk.finished[i] = 1;
             continue;
         }
         if (job.n == 0) {
             out[idx[i]] = makeError(SolveErrorCode::InvalidArgument,
                                     "MvaSolver::solve",
                                     "need at least one processor");
-            blk.finished[i] = 1;
             continue;
         }
         if (auto err = checkMvaSeed(job.seed)) {
             out[idx[i]] = std::move(*err);
-            blk.finished[i] = 1;
             continue;
         }
         metricAdd("mva.solves");
@@ -552,30 +482,26 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
             metricAdd("mva.warm_solves");
 
         blk.consts[i] = mvaStepConstants(job.inputs, job.n);
-        blk.ladder[i] = recoveryLadder(job.opts.damping);
-        blk.force[i] = (inj.nonconverge || inj.first) ? 1 : 0;
-        blk.timed[i] = job.opts.timeBudget > 0.0 ? 1 : 0;
-        if (blk.timed[i]) {
-            blk.deadline[i] = solve_clock::now() +
-                std::chrono::duration_cast<solve_clock::duration>(
-                    std::chrono::duration<double>(job.opts.timeBudget));
-        }
-        int cap = job.opts.maxIterations;
-        if (job.opts.iterationBudget > 0 &&
-            job.opts.iterationBudget < cap)
-            cap = static_cast<int>(job.opts.iterationBudget);
-        blk.cap[i] = cap;
+        FixedPointLadder &lad = blk.ladder[i].emplace(job.opts, kMvaSite);
+        lad.next(); // the first rung always runs
+        any_timed = any_timed || lad.timed();
         blk.restartAttempt(i, job, record_iters);
         blk.active[i] = 1;
-        ++remaining;
     }
 
     // --- Lane finalization: the scalar epilogue + disposition -------
     auto finishLane = [&](size_t i) {
         const MvaJob &job = jobs[idx[i]];
         const MvaStepConstants &c = blk.consts[i];
+        FixedPointLadder &lad = *blk.ladder[i];
         blk.active[i] = 0;
-        --remaining;
+        if (traceEnabled(TraceLevel::Phase))
+            replayLaneTrace(job, blk, i);
+        if (auto err = lad.dispose(
+                [&] { return mvaInstance(job.n, job.inputs); })) {
+            out[idx[i]] = std::move(*err);
+            return;
+        }
 
         MvaResult r;
         r.numProcessors = job.n;
@@ -585,7 +511,7 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
         r.converged = blk.converged[i] != 0;
         r.residual = blk.residual[i];
         r.nonFinite = blk.nonFinite[i] != 0;
-        r.budgetExhausted = blk.budgetOut[i] != 0;
+        r.budgetExhausted = lad.budgetExhausted();
         r.rLocal = blk.rLocal[i];
         r.rBroadcast = blk.rBc[i];
         r.rRemoteRead = blk.rRr[i];
@@ -604,277 +530,173 @@ BatchMvaSolver::solveBlock(const MvaJob *jobs, const size_t *idx,
         r.speedup = c.numProc * (job.inputs.tau + c.tSupply) /
             blk.rTotal[i];
         r.processingPower = c.numProc * job.inputs.tau / blk.rTotal[i];
-        r.attempts = blk.attempts[i];
+        r.attempts = lad.takeAttempts();
         if (job.opts.recordTrace)
-            r.convergenceTrace = blk.convTrace[i];
-
-        Expected<MvaResult> fin = disposeMvaResult(
-            std::move(r), job.opts, blk.itersUsed[i], job.n,
-            job.inputs);
-        if (fin.ok()) {
-            if (auto err = validateMvaResult(fin.value()))
-                fin = Expected<MvaResult>(std::move(*err));
-        }
-        out[idx[i]] = std::move(fin);
-        blk.finished[i] = 1;
-        if (traceEnabled(TraceLevel::Phase))
-            replayLaneTrace(job, blk, i);
+            r.convergenceTrace = std::move(blk.convTrace[i]);
+        if (auto err = validateMvaResult(r))
+            out[idx[i]] = std::move(*err);
+        else
+            out[idx[i]] = std::move(r);
     };
 
-    // --- Attempt disposition: the scalar ladder loop per lane -------
-    auto endAttempt = [&](size_t i, bool out_of_time) {
-        const MvaJob &job = jobs[idx[i]];
+    // --- Attempt disposition: the lane's ladder picks the next rung --
+    auto endAttempt = [&](size_t i) {
+        FixedPointLadder &lad = *blk.ladder[i];
         SolveAttempt a;
-        a.damping = blk.ladder[i][blk.rung[i]];
+        a.damping = lad.damping();
         a.iterations = blk.iterations[i];
         a.residual = blk.residual[i];
         a.converged = blk.converged[i] != 0;
         a.nonFinite = blk.nonFinite[i] != 0;
-        blk.attempts[i].push_back(a);
-        blk.itersUsed[i] += a.iterations;
-        metricAdd("mva.attempts");
-        metricAdd("mva.iterations", a.iterations);
-
-        if (a.converged || out_of_time ||
-            blk.rung[i] + 1 >= blk.ladder[i].size()) {
+        lad.record(a);
+        if (lad.next())
+            blk.restartAttempt(i, jobs[idx[i]], record_iters);
+        else
             finishLane(i);
-            return;
-        }
-        // Next rung: shrink the cap under an iteration budget, honor
-        // the wall clock, and restart from the seed (same order as
-        // the scalar ladder loop).
-        int cap = job.opts.maxIterations;
-        if (job.opts.iterationBudget > 0) {
-            long rem = job.opts.iterationBudget - blk.itersUsed[i];
-            if (rem <= 0) {
-                blk.budgetOut[i] = 1;
-                finishLane(i);
-                return;
-            }
-            if (rem < cap)
-                cap = static_cast<int>(rem);
-        }
-        if (blk.timed[i] && solve_clock::now() >= blk.deadline[i]) {
-            blk.budgetOut[i] = 1;
-            finishLane(i);
-            return;
-        }
-        ++blk.rung[i];
-        blk.cap[i] = cap;
-        blk.force[i] = inj.nonconverge ? 1 : 0;
-        blk.restartAttempt(i, job, record_iters);
     };
 
-    // --- The lockstep tick loops ------------------------------------
-    // Two drivers share the attempt/ladder machinery above. The fast
-    // path runs whenever per-tick arithmetic is all a lane needs: the
-    // fused SoA tick advances every live slot one iteration of
+    // --- The lockstep tick loop -------------------------------------
+    // The fused SoA tick advances every live slot one iteration of
     // eqs. (1)-(13) in SIMD lanes, and a scalar post-pass retires
-    // converged/exhausted/non-finite lanes through endAttempt. Blocks
-    // with armed solver faults or wall-clock budgets take the scalar
-    // path below, which interleaves injection and deadline checks
-    // with each shared-kernel step. Both paths execute the same value
-    // sequence per lane as scalar solveOnce, so either way the batch
-    // is bit-identical to per-cell trySolve.
-    bool any_timed = false;
-    for (size_t i = 0; i < lanes; ++i)
-        any_timed = any_timed || (blk.active[i] && blk.timed[i] != 0);
-    const bool fast =
-        !inj.nan && !inj.nonconverge && !inj.first && !any_timed;
+    // lanes through endAttempt: converged, at the attempt's cap, with
+    // a non-finite (or fault-poisoned) iterate, or past their
+    // deadline. Forced lanes simply carry a zero tolerance. Every
+    // lane executes the same value sequence as the scalar driver, so
+    // the batch is bit-identical to per-cell trySolve.
+    //
+    // The SoA runs opts_.blockSize lanes wide; the rest of the work
+    // item queues behind it and refills slots as lanes retire, so the
+    // SIMD tick stays near-full even when lane iteration counts
+    // differ by an order of magnitude. Refill order is the
+    // (deterministic) work-item order, and a lane's arithmetic is
+    // independent of when its slot opens, so this changes scheduling
+    // only, never per-lane values.
+    HotSoA hot;
+    // Per-iteration traces and deadlines need the post-pass on every
+    // tick, not only on ticks where the fused tick flagged a lane.
+    bool scan_every_tick = record_iters || any_timed;
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < lanes; ++i) {
+        if (!blk.active[i])
+            continue;
+        if (hot.n < opts_.blockSize)
+            hot.push(blk, jobs[idx[i]], i);
+        else
+            pending.push_back(i);
+        scan_every_tick = scan_every_tick || jobs[idx[i]].opts.recordTrace;
+    }
+    size_t next = 0;
 
-    if (fast) {
-        // The SoA runs opts_.blockSize lanes wide; the rest of the
-        // work item queues behind it and refills slots as lanes
-        // retire, so the SIMD tick stays near-full even when lane
-        // iteration counts differ by an order of magnitude. Refill
-        // order is the (deterministic) work-item order, and a lane's
-        // arithmetic is independent of when its slot opens, so this
-        // changes scheduling only, never per-lane values.
-        HotSoA hot;
-        bool tracing = record_iters;
-        std::vector<size_t> pending;
-        for (size_t i = 0; i < lanes; ++i) {
-            if (!blk.active[i])
+    while (hot.n > 0) {
+        // One clock read per tick, before it: a timed lane already
+        // past its deadline retires below as if this tick never ran
+        // (the scalar driver checks the deadline before every
+        // iteration).
+        const clock::time_point tick_start =
+            any_timed ? clock::now() : clock::time_point{};
+        hot.rotateHistory();
+        fusedTick(hot.n, hot.numProc.data(), hot.tau.data(),
+                  hot.pLocal.data(), hot.pBc.data(), hot.pRr.data(),
+                  hot.tRead.data(), hot.memFactor.data(),
+                  hot.tWrite.data(), hot.tSupply.data(),
+                  hot.dMem.data(), hot.invModules.data(), hot.p.data(),
+                  hot.pPrime.data(), hot.log2PPrime.data(),
+                  hot.tInt.data(), hot.nMinus1.data(), hot.gt1.data(),
+                  hot.damp.data(), hot.tol.data(), hot.capD.data(),
+                  hot.iterD.data(), hot.prevWb.data(), hot.prevWm.data(),
+                  hot.prevRt.data(), hot.wb.data(), hot.wm.data(),
+                  hot.rt.data(), hot.delta.data(), hot.done.data());
+
+        // Most ticks retire nothing: one cheap scan of the done
+        // flags and the next tick starts.
+        if (!scan_every_tick) {
+            bool any = false;
+            for (size_t s = 0; s < hot.n; ++s)
+                any = any || hot.done[s] != 0.0;
+            if (!any)
                 continue;
-            if (hot.n < opts_.blockSize)
-                hot.push(blk, jobs[idx[i]], i);
-            else
-                pending.push_back(i);
-            tracing = tracing || jobs[idx[i]].opts.recordTrace;
         }
-        size_t next = 0;
 
-        while (hot.n > 0) {
-            hot.rotateHistory();
-            fusedTick(hot.n, hot.numProc.data(), hot.tau.data(),
-                      hot.pLocal.data(), hot.pBc.data(),
-                      hot.pRr.data(), hot.tRead.data(),
-                      hot.memFactor.data(), hot.tWrite.data(),
-                      hot.tSupply.data(), hot.dMem.data(),
-                      hot.invModules.data(), hot.p.data(),
-                      hot.pPrime.data(), hot.log2PPrime.data(),
-                      hot.tInt.data(), hot.nMinus1.data(),
-                      hot.gt1.data(), hot.damp.data(), hot.tol.data(),
-                      hot.capD.data(), hot.iterD.data(),
-                      hot.prevWb.data(), hot.prevWm.data(),
-                      hot.prevRt.data(), hot.wb.data(), hot.wm.data(),
-                      hot.rt.data(), hot.delta.data(),
-                      hot.done.data());
+        // Post-pass: bookkeeping and retirement per slot. A retired
+        // slot is refilled by swap-compaction and the moved lane
+        // (already ticked, not yet post-processed) is handled at the
+        // same index, so every live lane gets exactly one pass per
+        // tick.
+        size_t s = 0;
+        while (s < hot.n) {
+            const size_t i = hot.lane[s];
+            const MvaJob &job = jobs[idx[i]];
+            FixedPointLadder &lad = *blk.ladder[i];
+            const int it = static_cast<int>(hot.iterD[s]);
+            const bool expired = lad.expiredAt(tick_start);
 
-            // Most ticks retire nothing: one cheap scan of the done
-            // flags and the next tick starts. (When a lane records
-            // per-iteration traces the post-pass must run every tick
-            // to buffer the deltas in order.)
-            if (!tracing) {
-                bool any = false;
-                for (size_t s = 0; s < hot.n; ++s)
-                    any = any || hot.done[s] != 0.0;
-                if (!any)
-                    continue;
-            }
-
-            // Post-pass: bookkeeping and retirement per slot. A
-            // retired slot is refilled by swap-compaction and the
-            // moved lane (already ticked, not yet post-processed) is
-            // handled at the same index, so every live lane gets
-            // exactly one pass per tick.
-            size_t s = 0;
-            while (s < hot.n) {
-                const size_t i = hot.lane[s];
-                const MvaJob &job = jobs[idx[i]];
-                const int it = static_cast<int>(hot.iterD[s]);
-
-                if (!std::isfinite(hot.rt[s]) ||
-                    !std::isfinite(hot.wb[s]) ||
-                    !std::isfinite(hot.wm[s])) {
-                    // The scalar driver aborts the attempt before
-                    // committing: the iterate keeps the last finite
-                    // state, the measures and residual stay those of
-                    // iteration it-1 (zeros when the first iteration
-                    // aborts - restartAttempt left them there).
-                    blk.iterations[i] = it;
-                    blk.nonFinite[i] = 1;
-                    blk.wBus[i] = hot.prevWb[s];
-                    blk.wMem[i] = hot.prevWm[s];
-                    blk.rTotal[i] = hot.prevRt[s];
-                    if (it >= 2) {
-                        commitMeasures(
-                            blk, i,
-                            mvaStep(blk.consts[i], hot.pprevWb[s],
-                                    hot.pprevWm[s], hot.pprevRt[s]));
-                        blk.residual[i] =
-                            std::fabs(hot.prevRt[s] - hot.pprevRt[s]);
-                    }
-                    endAttempt(i, false);
-                    if (blk.active[i]) {
-                        hot.restartSlot(s, blk, i);
-                        ++s;
-                    } else {
-                        hot.removeSlot(s);
-                    }
-                    continue;
+            if (expired || lad.poisons(it) || !std::isfinite(hot.rt[s]) ||
+                !std::isfinite(hot.wb[s]) || !std::isfinite(hot.wm[s])) {
+                // This tick's iterate is never committed: past the
+                // deadline the scalar driver would not have run it,
+                // and a non-finite (or poisoned) proposal aborts the
+                // attempt. The lane keeps the last committed state,
+                // with the measures and residual of iteration it-1
+                // (zeros when that is the start - restartAttempt left
+                // them there).
+                blk.iterations[i] = expired ? it - 1 : it;
+                blk.nonFinite[i] = expired ? 0 : 1;
+                blk.wBus[i] = hot.prevWb[s];
+                blk.wMem[i] = hot.prevWm[s];
+                blk.rTotal[i] = hot.prevRt[s];
+                if (it >= 2) {
+                    commitMeasures(
+                        blk, i,
+                        mvaStep(blk.consts[i], hot.pprevWb[s],
+                                hot.pprevWm[s], hot.pprevRt[s]));
+                    blk.residual[i] =
+                        std::fabs(hot.prevRt[s] - hot.pprevRt[s]);
                 }
-
+                if (expired)
+                    lad.outOfTime();
+            } else {
                 const double delta = hot.delta[s];
                 if (job.opts.recordTrace)
                     blk.convTrace[i].push_back(delta);
                 if (record_iters)
                     blk.replay[i].back().push_back(delta);
 
-                const bool conv = delta < job.opts.tolerance *
-                    std::max(1.0, std::fabs(hot.rt[s]));
-                if (conv || static_cast<double>(it) >= hot.capD[s]) {
-                    blk.iterations[i] = it;
-                    blk.residual[i] = delta;
-                    blk.converged[i] = conv ? 1 : 0;
-                    blk.wBus[i] = hot.wb[s];
-                    blk.wMem[i] = hot.wm[s];
-                    blk.rTotal[i] = hot.rt[s];
-                    // Rebuild this iteration's measures from the
-                    // pre-tick state via the shared scalar step -
-                    // same inputs, same kernel, same bits as the
-                    // fused computation that just ran.
-                    commitMeasures(
-                        blk, i,
-                        mvaStep(blk.consts[i], hot.prevWb[s],
-                                hot.prevWm[s], hot.prevRt[s]));
-                    endAttempt(i, false);
-                    if (blk.active[i]) {
-                        hot.restartSlot(s, blk, i);
-                        ++s;
-                    } else {
-                        hot.removeSlot(s);
-                    }
+                const bool conv = delta <
+                    hot.tol[s] * std::max(1.0, std::fabs(hot.rt[s]));
+                if (!conv && static_cast<double>(it) < hot.capD[s]) {
+                    ++s;
                     continue;
                 }
-                ++s;
+                blk.iterations[i] = it;
+                blk.residual[i] = delta;
+                blk.converged[i] = conv ? 1 : 0;
+                blk.wBus[i] = hot.wb[s];
+                blk.wMem[i] = hot.wm[s];
+                blk.rTotal[i] = hot.rt[s];
+                // Rebuild this iteration's measures from the pre-tick
+                // state via the shared scalar step - same inputs,
+                // same kernel, same bits as the fused computation
+                // that just ran.
+                commitMeasures(blk, i,
+                               mvaStep(blk.consts[i], hot.prevWb[s],
+                                       hot.prevWm[s], hot.prevRt[s]));
             }
-
-            // Top up freed slots from the pending queue. Deferred to
-            // after the post-pass so a fresh lane (zero iterations,
-            // zero delta) is never mistaken for a converged one; it
-            // takes its first step on the next tick.
-            while (hot.n < opts_.blockSize && next < pending.size()) {
-                const size_t i = pending[next++];
-                hot.push(blk, jobs[idx[i]], i);
+            endAttempt(i);
+            if (blk.active[i]) {
+                hot.restartSlot(s, blk, job, i);
+                ++s;
+            } else {
+                hot.removeSlot(s);
             }
         }
-        return;
-    }
 
-    while (remaining > 0) {
-        for (size_t i = 0; i < lanes; ++i) {
-            if (!blk.active[i])
-                continue;
-            if (blk.timed[i] &&
-                solve_clock::now() >= blk.deadline[i]) {
-                blk.budgetOut[i] = 1;
-                endAttempt(i, true);
-                continue;
-            }
-            const MvaStepValues o =
-                mvaStep(blk.consts[i], blk.wBus[i], blk.wMem[i],
-                        blk.rTotal[i]);
-            const int it = blk.iterations[i] + 1;
-            double w_bus_new = o.wBusNew;
-            if (inj.nan && it == 2)
-                w_bus_new = std::nan("");
-
-            if (!std::isfinite(o.rNew) || !std::isfinite(w_bus_new) ||
-                !std::isfinite(o.wMemNew)) {
-                blk.iterations[i] = it;
-                blk.nonFinite[i] = 1;
-                endAttempt(i, false);
-                continue;
-            }
-
-            const double damping = blk.ladder[i][blk.rung[i]];
-            double w_bus_next =
-                damping * w_bus_new + (1.0 - damping) * blk.wBus[i];
-            double w_mem_next =
-                damping * o.wMemNew + (1.0 - damping) * blk.wMem[i];
-            double delta = std::fabs(o.rNew - blk.rTotal[i]);
-            if (jobs[idx[i]].opts.recordTrace)
-                blk.convTrace[i].push_back(delta);
-            if (record_iters)
-                blk.replay[i].back().push_back(delta);
-
-            blk.wBus[i] = w_bus_next;
-            blk.wMem[i] = w_mem_next;
-            blk.rTotal[i] = o.rNew;
-            blk.iterations[i] = it;
-            blk.residual[i] = delta;
-            commitMeasures(blk, i, o);
-
-            if (!blk.force[i] &&
-                delta < jobs[idx[i]].opts.tolerance *
-                    std::max(1.0, std::fabs(blk.rTotal[i]))) {
-                blk.converged[i] = 1;
-                endAttempt(i, false);
-                continue;
-            }
-            if (it >= blk.cap[i])
-                endAttempt(i, false);
+        // Top up freed slots from the pending queue. Deferred to after
+        // the post-pass so a fresh lane (zero iterations, zero delta)
+        // is never mistaken for a converged one; it takes its first
+        // step on the next tick.
+        while (hot.n < opts_.blockSize && next < pending.size()) {
+            const size_t i = pending[next++];
+            hot.push(blk, jobs[idx[i]], i);
         }
     }
 }

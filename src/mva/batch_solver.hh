@@ -5,9 +5,10 @@
  * Structure-of-arrays batch engine for the customized MVA model: all
  * cells of a sweep (or all requests of a serve batch) iterate eqs.
  * (1)-(13) in lockstep, one contiguous array per model variable, with
- * an active-lane mask so converged cells drop out and per-lane
- * recovery-ladder state so a failed attempt restarts only the lanes
- * that need it.
+ * an active-lane mask so converged cells drop out and one
+ * FixedPointLadder per lane (mva/fixed_point.hh: the scalar solvers'
+ * own rungs, budgets, fault sites and disposition) so a failed
+ * attempt restarts only the lanes that need it.
  *
  * Determinism contract: every lane executes the *same arithmetic
  * sequence* as the scalar MvaSolver::trySolve of that cell (the step

@@ -1,14 +1,16 @@
 #include "mva/hierarchical.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
+#include "mva/fixed_point.hh"
+#include "mva/kernel.hh"
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
 #include "util/contracts.hh"
 #include "util/expected.hh"
-#include "util/fault.hh"
-#include "util/fixed_point.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -53,57 +55,58 @@ HierarchicalResult::summary() const
 
 namespace {
 
-double
-pBusyFromUtil(double util, double customers)
+constexpr FixedPointSite kHierarchicalSite = SNOOP_FIXED_POINT_SITE(
+    "mva.hierarchical", "solveHierarchical", "solveHierarchical");
+
+/**
+ * The two-level step for the fixed-point driver. The proposal is
+ * [local-bus wait, global-bus wait, R].
+ */
+class HierarchicalStep
 {
-    if (customers <= 1.0)
-        return 0.0;
-    double u = std::clamp(util, 0.0, 1.0);
-    double denom = 1.0 - u / customers;
-    if (denom <= 0.0)
-        return 1.0;
-    return std::clamp((u - u / customers) / denom, 0.0, 1.0);
-}
+  public:
+    HierarchicalStep(const HierarchicalConfig &c, HierarchicalResult &res)
+        : c_(c), res_(res),
+          procTotal_(static_cast<double>(c.totalProcessors())),
+          procCluster_(static_cast<double>(c.processorsPerCluster)),
+          pBus_(1.0 - c.pLocal)
+    {
+    }
 
-HierarchicalResult
-solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
-          double damping, bool force_nonconverge)
-{
-    const double proc_total = static_cast<double>(c.totalProcessors());
-    const double proc_cluster =
-        static_cast<double>(c.processorsPerCluster);
-    const double p_bus = 1.0 - c.pLocal;
+    void restart()
+    {
+        wL_ = 0.0;
+        wG_ = 0.0;
+        rTotal_ = c_.tau + c_.tSupply;
+        res_.localBusUtil = res_.globalBusUtil = 0.0;
+    }
 
-    HierarchicalResult res;
-    res.totalProcessors = c.totalProcessors();
-
-    double w_l = 0.0, w_g = 0.0;
-    double r_total = c.tau + c.tSupply;
-
-    for (int it = 1; it <= opts.maxIterations; ++it) {
+    std::span<double> propose()
+    {
         // Local-bus holding time: the local phase plus, for remote
         // transactions, the global-bus wait and transfer (the local
         // bus is held through the remote phase).
-        double remote_leg = w_g + c.tGlobalBus;
-        double t_hold = c.tLocalBus + c.pRemote * remote_leg;
+        double remote_leg = wG_ + c_.tGlobalBus;
+        double t_hold = c_.tLocalBus + c_.pRemote * remote_leg;
         // Residual life of the holding-time mixture.
-        double short_leg = c.tLocalBus;
-        double long_leg = c.tLocalBus + remote_leg;
-        double second_moment = (1.0 - c.pRemote) * short_leg * short_leg
-            + c.pRemote * long_leg * long_leg;
+        double short_leg = c_.tLocalBus;
+        double long_leg = c_.tLocalBus + remote_leg;
+        double second_moment = (1.0 - c_.pRemote) * short_leg * short_leg
+            + c_.pRemote * long_leg * long_leg;
         double t_res_l =
             t_hold > 0.0 ? second_moment / (2.0 * t_hold) : 0.0;
 
         // Response time (eq. (1) analogue).
         double r_new =
-            c.tau + c.tSupply + p_bus * (w_l + t_hold);
+            c_.tau + c_.tSupply + pBus_ * (wL_ + t_hold);
 
         // Local bus: contention from the P-1 cluster peers.
-        double q_l = (proc_cluster - 1.0) * p_bus * (w_l + t_hold) /
+        double q_l = (procCluster_ - 1.0) * pBus_ * (wL_ + t_hold) /
             r_new;
-        q_l = std::clamp(q_l, 0.0, proc_cluster - 1.0);
-        double u_l = proc_cluster * p_bus * t_hold / r_new;
-        double p_busy_l = pBusyFromUtil(u_l, proc_cluster);
+        q_l = std::clamp(q_l, 0.0, procCluster_ - 1.0);
+        uL_ = procCluster_ * pBus_ * t_hold / r_new;
+        double p_busy_l =
+            mvaPBusyFromUtilization(uL_, c_.processorsPerCluster);
         double w_l_new = std::max(0.0, q_l - p_busy_l) * t_hold +
             p_busy_l * t_res_l;
 
@@ -111,36 +114,49 @@ solveOnce(const HierarchicalConfig &c, const MvaOptions &opts,
         // for the global bus, so at most one per cluster - the
         // effective population at the global bus is the cluster count.
         double competitors =
-            std::min(proc_total, static_cast<double>(c.clusters));
-        double q_g = (proc_total - 1.0) * p_bus * c.pRemote *
-            (w_g + c.tGlobalBus) / r_new;
+            std::min(procTotal_, static_cast<double>(c_.clusters));
+        double q_g = (procTotal_ - 1.0) * pBus_ * c_.pRemote *
+            (wG_ + c_.tGlobalBus) / r_new;
         q_g = std::clamp(q_g, 0.0, competitors - 1.0);
-        double u_g = proc_total * p_bus * c.pRemote * c.tGlobalBus /
-            r_new;
-        double p_busy_g = pBusyFromUtil(u_g, competitors);
-        double w_g_new = std::max(0.0, q_g - p_busy_g) * c.tGlobalBus +
-            p_busy_g * c.tGlobalBus / 2.0;
+        uG_ = procTotal_ * pBus_ * c_.pRemote * c_.tGlobalBus / r_new;
+        double p_busy_g = mvaPBusyFromUtilization(
+            uG_, static_cast<unsigned>(competitors));
+        double w_g_new = std::max(0.0, q_g - p_busy_g) * c_.tGlobalBus +
+            p_busy_g * c_.tGlobalBus / 2.0;
 
-        double delta = std::fabs(r_new - r_total);
-        w_l = damping * w_l_new + (1.0 - damping) * w_l;
-        w_g = damping * w_g_new + (1.0 - damping) * w_g;
-        r_total = r_new;
-        res.iterations = it;
-        res.localBusUtil = std::min(u_l, 1.0);
-        res.globalBusUtil = std::min(u_g, 1.0);
-        if (!force_nonconverge &&
-            delta < opts.tolerance * std::max(1.0, std::fabs(r_total))) {
-            res.converged = true;
-            break;
-        }
+        next_ = {w_l_new, w_g_new, r_new};
+        return next_;
     }
 
-    res.wLocalBus = w_l;
-    res.wGlobalBus = w_g;
-    res.responseTime = r_total;
-    res.speedup = proc_total * (c.tau + c.tSupply) / r_total;
-    return res;
-}
+    FixedPointDelta commit(double damping)
+    {
+        const double delta = std::fabs(next_[2] - rTotal_);
+        wL_ = damping * next_[0] + (1.0 - damping) * wL_;
+        wG_ = damping * next_[1] + (1.0 - damping) * wG_;
+        rTotal_ = next_[2];
+        res_.localBusUtil = std::min(uL_, 1.0);
+        res_.globalBusUtil = std::min(uG_, 1.0);
+        return {delta, std::max(1.0, std::fabs(rTotal_))};
+    }
+
+    /** The waits, R and speedup of the final iterate. */
+    void finish()
+    {
+        res_.totalProcessors = c_.totalProcessors();
+        res_.wLocalBus = wL_;
+        res_.wGlobalBus = wG_;
+        res_.responseTime = rTotal_;
+        res_.speedup = procTotal_ * (c_.tau + c_.tSupply) / rTotal_;
+    }
+
+  private:
+    const HierarchicalConfig &c_;
+    HierarchicalResult &res_;
+    const double procTotal_, procCluster_, pBus_;
+    double wL_ = 0.0, wG_ = 0.0, rTotal_ = 0.0;
+    double uL_ = 0.0, uG_ = 0.0;
+    std::array<double, 3> next_{};
+};
 
 } // namespace
 
@@ -153,49 +169,20 @@ solveHierarchical(const HierarchicalConfig &config,
     ScopedMetricTimer solve_timer("mva.hierarchical.solve_us");
     TraceSpan solve_span(TraceLevel::Phase, "mva.hierarchical.solve",
                          config.totalProcessors());
-    auto observeAttempt = [](size_t rung, double damping,
-                             const HierarchicalResult &r) {
-        metricAdd("mva.hierarchical.attempts");
-        metricAdd("mva.hierarchical.iterations", r.iterations);
-        if (traceEnabled(TraceLevel::Phase)) {
-            traceInstant(TraceLevel::Phase, "mva.hierarchical.attempt",
-                         static_cast<uint64_t>(rung),
-                         strprintf("\"damping\":%g,\"iterations\":%d,"
-                                   "\"converged\":%s",
-                                   damping, r.iterations,
-                                   r.converged ? "true" : "false"));
-        }
-    };
 
-    // The configured damping first, then every shared rung strictly
-    // below it, as MvaSolver does (util/fixed_point.hh).
-    const std::vector<double> ladder = recoveryLadder(options.damping);
-    HierarchicalResult res =
-        solveOnce(config, options, ladder[0],
-                  faultArmed("mva.hierarchical.first_attempt"));
-    observeAttempt(0, ladder[0], res);
-    for (size_t rung = 1; rung < ladder.size() && !res.converged;
-         ++rung) {
-        res = solveOnce(config, options, ladder[rung], false);
-        observeAttempt(rung, ladder[rung], res);
-    }
-    if (!res.converged) {
-        switch (options.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("solveHierarchical: no convergence after %d iterations "
-                 "(C=%u, P=%u)", options.maxIterations, config.clusters,
-                 config.processorsPerCluster);
-            break;
-          case NonConvergencePolicy::Fatal:
-            throw SolveException(makeError(
-                SolveErrorCode::NonConvergence, "solveHierarchical",
-                "no convergence after %d iterations (C=%u, P=%u)",
-                options.maxIterations, config.clusters,
-                config.processorsPerCluster));
-          case NonConvergencePolicy::Accept:
-            break;
-        }
-    }
+    HierarchicalResult res;
+    HierarchicalStep step(config, res);
+    FixedPointLadder ladder =
+        solveFixedPoint(step, options, kHierarchicalSite, [&] {
+            return strprintf("C=%u, P=%u", config.clusters,
+                             config.processorsPerCluster);
+        }).orThrow();
+    step.finish();
+    res.iterations = ladder.last().iterations;
+    res.converged = ladder.last().converged;
+    res.budgetExhausted = ladder.budgetExhausted();
+    res.attempts = ladder.takeAttempts();
+
     NumericGuard("solveHierarchical",
                  strprintf("C=%u P=%u", config.clusters,
                            config.processorsPerCluster))

@@ -32,6 +32,7 @@
  */
 
 #include <string>
+#include <vector>
 
 #include "mva/solver.hh"
 #include "workload/derived.hh"
@@ -75,16 +76,23 @@ struct HierarchicalResult
     double wGlobalBus = 0.0;     ///< mean global-bus wait
     double localBusUtil = 0.0;   ///< per-cluster local-bus utilization
     double globalBusUtil = 0.0;  ///< global-bus utilization
-    int iterations = 0;
+    int iterations = 0;          ///< iterations of the final attempt
     bool converged = false;
+    /** The time/iteration budget cut the ladder short (MvaOptions). */
+    bool budgetExhausted = false;
+    /** One entry per recovery-ladder attempt, in execution order. */
+    std::vector<SolveAttempt> attempts;
 
     /** One-line summary for examples and logs. */
     std::string summary() const;
 };
 
 /**
- * Solve the two-level model by fixed-point iteration (same numerical
- * scheme as MvaSolver, including the damped fallback at saturation).
+ * Solve the two-level model by fixed-point iteration: the same driver
+ * as MvaSolver (mva/fixed_point.hh), so the same recovery ladder,
+ * budgets, non-finite bail-out and policy apply. Throws
+ * SolveException on invalid options or configuration, an expired
+ * time budget, a non-finite iterate, or (under Fatal) non-convergence.
  */
 HierarchicalResult solveHierarchical(const HierarchicalConfig &config,
                                      const MvaOptions &options = {});

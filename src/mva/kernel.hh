@@ -3,8 +3,10 @@
 /**
  * @file
  * The shared per-iteration core of the customized MVA model: one
- * update step of eqs. (1)-(13) plus the admission and disposition
- * helpers common to the scalar MvaSolver and the SoA BatchMvaSolver.
+ * update step of eqs. (1)-(13) plus the seed admission and result
+ * validation common to the scalar MvaSolver and the SoA
+ * BatchMvaSolver (the ladder, budgets and disposition they also share
+ * live in mva/fixed_point.hh).
  *
  * Bit-identity contract: both engines compute each iteration by
  * calling mvaStep() on identical (constants, state) and applying the
@@ -20,13 +22,12 @@
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "mva/result.hh"
 #include "mva/solver.hh"
 #include "util/expected.hh"
-#include "util/fixed_point.hh"
 #include "util/logging.hh"
-#include "util/strutil.hh"
 #include "workload/derived.hh"
 
 namespace snoop {
@@ -181,6 +182,29 @@ mvaStepConstants(const DerivedInputs &d, unsigned n)
 }
 
 /**
+ * Cache interference, eq. (13) + Appendix B: the mean number of
+ * consecutive interfering snoops an arrival sees behind @p q_bus
+ * queued bus requests. Shared by the flat step and the multi-class
+ * extension (one MvaStepConstants per class).
+ */
+inline double
+mvaInterference(const MvaStepConstants &c, double q_bus)
+{
+    if (!(c.n > 1 && q_bus > 0.0 && c.p > 0.0))
+        return 0.0;
+    if (c.pPrime >= 1.0)
+        return c.p * q_bus;
+    if (c.pPrime <= 0.0)
+        return c.p;
+    // pPrime^qBus via the hoisted log2 and the deterministic exp2
+    // above: one transcendental per iteration becomes a short
+    // polynomial, and - unlike std::pow - it has the same bit pattern
+    // whether evaluated scalar or in the batch solver's vectorized
+    // tick.
+    return c.p * (1.0 - mvaExp2(q_bus * c.log2PPrime)) / (1.0 - c.pPrime);
+}
+
+/**
  * The raw (undamped) outputs of one MVA update step: the new iterate
  * plus every submodel measure the result records per iteration.
  */
@@ -227,23 +251,7 @@ mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
     o.qBus = std::min(q_bus, c.numProc - 1.0);
 
     // --- Cache interference, eq. (13) ----------------------------
-    o.nInt = 0.0;
-    if (c.n > 1 && o.qBus > 0.0 && c.p > 0.0) {
-        if (c.pPrime >= 1.0) {
-            o.nInt = c.p * o.qBus;
-        } else if (c.pPrime <= 0.0) {
-            o.nInt = c.p;
-        } else {
-            // pPrime^qBus via the hoisted log2 and the deterministic
-            // exp2 above: one transcendental per iteration becomes a
-            // short polynomial, and - unlike std::pow - it has the
-            // same bit pattern whether evaluated scalar or in the
-            // batch solver's vectorized tick.
-            o.nInt = c.p *
-                (1.0 - mvaExp2(o.qBus * c.log2PPrime)) /
-                (1.0 - c.pPrime);
-        }
-    }
+    o.nInt = mvaInterference(c, o.qBus);
 
     // --- Response time, eq. (1)-(4) ------------------------------
     o.rLocal = c.pLocal * o.nInt * c.tInt;
@@ -289,31 +297,6 @@ mvaStep(const MvaStepConstants &c, double w_bus, double w_mem,
 }
 
 /**
- * Admission check on MvaOptions; the message the MvaSolver
- * constructor throws and the batch solver reports per lane.
- */
-inline std::optional<SolveError>
-checkMvaOptions(const MvaOptions &opts)
-{
-    const char *detail = nullptr;
-    if (opts.maxIterations < 1)
-        detail = "maxIterations must be >= 1";
-    else if (opts.tolerance <= 0.0)
-        detail = "tolerance must be positive";
-    else if (opts.damping <= 0.0 || opts.damping > 1.0)
-        detail = "damping must be in (0, 1]";
-    else if (!(opts.timeBudget >= 0.0))
-        detail = "timeBudget must be >= 0";
-    else if (opts.iterationBudget < 0)
-        detail = "iterationBudget must be >= 0";
-    if (detail != nullptr) {
-        return makeError(SolveErrorCode::InvalidArgument, "MvaSolver",
-                         "%s", detail);
-    }
-    return std::nullopt;
-}
-
-/**
  * Admission check on a warm-start seed: the waiting times it carries
  * must be finite and non-negative, or the solve would start from a
  * state the model cannot produce.
@@ -331,6 +314,13 @@ checkMvaSeed(const MvaSeed &seed)
             seed.rTotal);
     }
     return std::nullopt;
+}
+
+/** How MVA error messages name one solve: "N=8, protocol ...". */
+inline std::string
+mvaInstance(unsigned n, const DerivedInputs &d)
+{
+    return strprintf("N=%u, protocol %s", n, d.protocol.name().c_str());
 }
 
 /**
@@ -376,78 +366,11 @@ validateMvaResult(const MvaResult &res)
         if (violated) {
             return makeError(
                 SolveErrorCode::NumericRange, "MvaSolver",
-                "%s = %g violates %s (N=%u, protocol %s)", c.name,
-                c.value, violated, res.numProcessors,
-                res.inputs.protocol.name().c_str());
+                "%s = %g violates %s (%s)", c.name, c.value, violated,
+                mvaInstance(res.numProcessors, res.inputs).c_str());
         }
     }
     return std::nullopt;
-}
-
-/** The ladder-attempt record for a finished solveOnce/lane attempt. */
-inline SolveAttempt
-mvaAttemptOf(const MvaResult &res, double damping)
-{
-    SolveAttempt a;
-    a.damping = damping;
-    a.iterations = res.iterations;
-    a.residual = res.residual;
-    a.converged = res.converged;
-    a.nonFinite = res.nonFinite;
-    return a;
-}
-
-/**
- * End-of-ladder disposition shared by the scalar and batch solvers:
- * a time budget that expired before any iteration completed is a
- * BudgetExhausted *error* (the untouched cold/warm start would
- * otherwise masquerade as perfect linear speedup); a non-finite
- * iterate that survived every rung is NonFiniteIterate; anything
- * else unconverged is judged by the onNonConvergence policy. The
- * caller still routes an ok() value through validateMvaResult (the
- * numeric boundary guard).
- */
-inline Expected<MvaResult>
-disposeMvaResult(MvaResult res, const MvaOptions &opts, long iters_used,
-                 unsigned n, const DerivedInputs &d)
-{
-    if (res.budgetExhausted && iters_used == 0) {
-        return makeError(
-            SolveErrorCode::BudgetExhausted, "MvaSolver::solve",
-            "time budget (%g s) expired before the first iteration "
-            "(N=%u, protocol %s)", opts.timeBudget, n,
-            d.protocol.name().c_str());
-    }
-    if (res.nonFinite && !res.budgetExhausted) {
-        return makeError(
-            SolveErrorCode::NonFiniteIterate, "MvaSolver::solve",
-            "iterate became non-finite in all %zu damping attempts "
-            "(N=%u, protocol %s)", res.attempts.size(), n,
-            d.protocol.name().c_str());
-    }
-    if (!res.converged) {
-        switch (opts.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("MvaSolver: no convergence after %d iterations across "
-                 "%zu attempts (N=%u, protocol %s%s)",
-                 opts.maxIterations, res.attempts.size(), n,
-                 d.protocol.name().c_str(),
-                 res.budgetExhausted ? ", budget exhausted" : "");
-            break;
-          case NonConvergencePolicy::Fatal:
-            return makeError(
-                res.budgetExhausted ? SolveErrorCode::BudgetExhausted
-                                    : SolveErrorCode::NonConvergence,
-                "MvaSolver::solve",
-                "no convergence after %d iterations across %zu attempts "
-                "(N=%u, protocol %s%s)", opts.maxIterations,
-                res.attempts.size(), n, d.protocol.name().c_str(),
-                res.budgetExhausted ? ", budget exhausted" : "");
-          case NonConvergencePolicy::Accept:
-            break;
-        }
-    }
-    return res;
 }
 
 } // namespace snoop

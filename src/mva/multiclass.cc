@@ -2,205 +2,190 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
+#include "mva/fixed_point.hh"
 #include "mva/kernel.hh"
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
 #include "util/contracts.hh"
 #include "util/expected.hh"
-#include "util/fault.hh"
-#include "util/fixed_point.hh"
 #include "util/logging.hh"
 
 namespace snoop {
 
 namespace {
 
-double
-pBusyFromUtil(double util, double customers)
+constexpr FixedPointSite kMulticlassSite = SNOOP_FIXED_POINT_SITE(
+    "mva.multiclass", "solveMulticlass", "solveMulticlass");
+
+/**
+ * The multi-class step for the fixed-point driver: per-class response
+ * times via per-class arrival queues, then the shared bus and memory
+ * waits. Each class carries the flat model's step constants for the
+ * whole machine's N (Appendix B's supplier selection sees every
+ * processor). The proposal is [w_bus per class, w_mem, R per class].
+ */
+class MulticlassStep
 {
-    if (customers <= 1.0)
-        return 0.0;
-    double u = std::clamp(util, 0.0, 1.0);
-    double denom = 1.0 - u / customers;
-    if (denom <= 0.0)
-        return 1.0;
-    return std::clamp((u - u / customers) / denom, 0.0, 1.0);
-}
-
-constexpr double kAppendixBBlockCycles = 4.0;
-
-MulticlassResult
-solveOnce(const std::vector<ProcessorClass> &classes,
-          const MvaOptions &opts, double damping, bool force_nonconverge)
-{
-    size_t num_classes = classes.size();
-    const BusTiming &timing = classes.front().inputs.timing;
-    const double t_write = timing.tWrite;
-    const double t_supply = timing.tSupply;
-    const double d_mem = timing.dMem;
-    const double modules = static_cast<double>(timing.numModules);
-
-    double n_total = 0.0;
-    for (const auto &c : classes)
-        n_total += static_cast<double>(c.count);
-
-    // Appendix-B interference constants per class.
-    std::vector<double> p_k(num_classes), p_prime_k(num_classes),
-        log2_p_prime_k(num_classes), t_int_k(num_classes);
-    double supplier_frac =
-        n_total > 1.0 ? std::min(1.0, 2.0 / (n_total - 1.0)) : 0.0;
-    for (size_t k = 0; k < num_classes; ++k) {
-        const auto &d = classes[k].inputs;
-        p_k[k] = d.pA + d.pB;
-        p_prime_k[k] = d.pB +
-            d.pA * supplier_frac * d.csupFrac * (1.0 - d.repTerm);
-        // Hoisted for the eq. (13) form: p'^q = 2^(q * log2(p')),
-        // one transcendental per class instead of one per iteration,
-        // with the exponential through the deterministic mvaExp2
-        // (mva/kernel.hh) rather than libm pow.
-        // snoop-lint: fp-ok
-        log2_p_prime_k[k] =
-            (p_prime_k[k] > 0.0 && p_prime_k[k] < 1.0)
-            ? std::log2(p_prime_k[k])
-            : 0.0;
-        t_int_k[k] = p_k[k] > 0.0
-            ? 1.0 + (d.pA / p_k[k]) * supplier_frac * d.csupFrac *
-                (kAppendixBBlockCycles +
-                 d.wbCsupply * kAppendixBBlockCycles)
-            : 0.0;
+  public:
+    MulticlassStep(const std::vector<ProcessorClass> &classes,
+                   MulticlassResult &res)
+        : classes_(classes), res_(res), k_(classes.size()),
+          wBus_(k_), r_(k_), rBc_(k_), rRr_(k_), share_(k_),
+          next_(2 * k_ + 1)
+    {
+        for (const auto &c : classes)
+            n_ += c.count;
+        nTotal_ = static_cast<double>(n_);
+        for (const auto &c : classes)
+            consts_.push_back(mvaStepConstants(c.inputs, n_));
     }
 
-    std::vector<double> w_bus(num_classes, 0.0);
-    double w_mem = 0.0;
-    std::vector<double> r(num_classes);
-    for (size_t k = 0; k < num_classes; ++k)
-        r[k] = classes[k].inputs.tau + t_supply;
+    void restart()
+    {
+        std::fill(wBus_.begin(), wBus_.end(), 0.0);
+        wMem_ = 0.0;
+        res_.classes.assign(k_, ClassResult{});
+        for (size_t k = 0; k < k_; ++k) {
+            r_[k] = consts_[k].tau + bus().tSupply;
+            res_.classes[k].responseTime = r_[k];
+        }
+        res_.busUtil = res_.memUtil = res_.wMem = 0.0;
+    }
 
-    MulticlassResult res;
-    res.classes.resize(num_classes);
-
-    for (int it = 1; it <= opts.maxIterations; ++it) {
+    std::span<double> propose()
+    {
         // Per-class bus cycle components at current waits.
-        std::vector<double> r_bc(num_classes), r_rr(num_classes);
-        for (size_t k = 0; k < num_classes; ++k) {
-            const auto &d = classes[k].inputs;
-            r_bc[k] = d.pBc * (w_bus[k] + w_mem + t_write);
-            r_rr[k] = d.pRr * (w_bus[k] + d.tRead);
+        const MvaStepConstants &t = bus();
+        for (size_t k = 0; k < k_; ++k) {
+            const MvaStepConstants &c = consts_[k];
+            rBc_[k] = c.pBc * (wBus_[k] + wMem_ + t.tWrite);
+            rRr_[k] = c.pRr * (wBus_[k] + c.tRead);
         }
 
         // New response times via per-class arrival queues.
-        std::vector<double> r_new(num_classes);
-        double max_delta = 0.0;
-        for (size_t k = 0; k < num_classes; ++k) {
-            const auto &d = classes[k].inputs;
-            double q = 0.0;
-            for (size_t j = 0; j < num_classes; ++j) {
-                double pop = static_cast<double>(classes[j].count) -
-                    (j == k ? 1.0 : 0.0);
-                q += pop * (r_bc[j] + r_rr[j]) / r[j];
-            }
-            q = std::clamp(q, 0.0, n_total - 1.0);
-
-            double n_int = 0.0;
-            if (q > 0.0 && p_k[k] > 0.0) {
-                if (p_prime_k[k] >= 1.0)
-                    n_int = p_k[k] * q;
-                else if (p_prime_k[k] <= 0.0)
-                    n_int = p_k[k];
-                else
-                    n_int = p_k[k] *
-                        (1.0 - mvaExp2(q * log2_p_prime_k[k])) /
-                        (1.0 - p_prime_k[k]);
-            }
-            double r_local = d.pLocal * n_int * t_int_k[k];
-            r_new[k] = d.tau + r_local + r_bc[k] + r_rr[k] + t_supply;
-            max_delta = std::max(
-                max_delta, std::fabs(r_new[k] - r[k]) /
-                    std::max(1.0, std::fabs(r[k])));
-
-            res.classes[k].responseTime = r_new[k];
+        double *r_new = next_.data() + k_ + 1;
+        maxDelta_ = 0.0;
+        for (size_t k = 0; k < k_; ++k) {
+            const MvaStepConstants &c = consts_[k];
+            double r_local =
+                c.pLocal * mvaInterference(c, arrivalQueue(k)) * c.tInt;
+            r_new[k] = c.tau + r_local + rBc_[k] + rRr_[k] + t.tSupply;
+            maxDelta_ = std::max(
+                maxDelta_, std::fabs(r_new[k] - r_[k]) /
+                    std::max(1.0, std::fabs(r_[k])));
         }
 
         // Shared-resource utilizations from the new response times.
-        double u_bus = 0.0, u_mem = 0.0;
+        uBus_ = 0.0;
+        uMem_ = 0.0;
         double rate_total = 0.0;
         double t_bus_num = 0.0, t_res_num = 0.0, t_res_den = 0.0;
-        for (size_t k = 0; k < num_classes; ++k) {
-            const auto &d = classes[k].inputs;
-            double pop = static_cast<double>(classes[k].count);
-            double demand =
-                d.pBc * (w_mem + t_write) + d.pRr * d.tRead;
-            u_bus += pop * demand / r_new[k];
-            u_mem += pop * (1.0 / modules) * d.memFactor * d_mem /
+        for (size_t k = 0; k < k_; ++k) {
+            const MvaStepConstants &c = consts_[k];
+            double pop = static_cast<double>(classes_[k].count);
+            double demand = c.pBc * (wMem_ + t.tWrite) + c.pRr * c.tRead;
+            uBus_ += pop * demand / r_new[k];
+            uMem_ += pop * (1.0 / t.modules) * c.memFactor * t.dMem /
                 r_new[k];
-            res.classes[k].busDemandShare = pop * demand / r_new[k];
+            share_[k] = pop * demand / r_new[k];
 
-            double lam_bc = pop * d.pBc / r_new[k];
-            double lam_rr = pop * d.pRr / r_new[k];
+            double lam_bc = pop * c.pBc / r_new[k];
+            double lam_rr = pop * c.pRr / r_new[k];
             rate_total += lam_bc + lam_rr;
-            t_bus_num +=
-                lam_bc * (t_write + w_mem) + lam_rr * d.tRead;
+            t_bus_num += lam_bc * (t.tWrite + wMem_) + lam_rr * c.tRead;
             // residual life: duration-weighted half-durations
-            t_res_num += lam_bc * (t_write + w_mem) *
-                    (t_write + w_mem) / 2.0 +
-                lam_rr * d.tRead * d.tRead / 2.0;
-            t_res_den +=
-                lam_bc * (t_write + w_mem) + lam_rr * d.tRead;
+            t_res_num += lam_bc * (t.tWrite + wMem_) *
+                    (t.tWrite + wMem_) / 2.0 +
+                lam_rr * c.tRead * c.tRead / 2.0;
+            t_res_den += lam_bc * (t.tWrite + wMem_) + lam_rr * c.tRead;
         }
         double t_bus = rate_total > 0.0 ? t_bus_num / rate_total : 0.0;
         double t_res = t_res_den > 0.0 ? t_res_num / t_res_den : 0.0;
-        double p_busy_bus = pBusyFromUtil(u_bus, n_total);
-        double p_busy_mem = pBusyFromUtil(u_mem, n_total);
-        double w_mem_new = p_busy_mem * d_mem / 2.0;
+        double p_busy_bus = mvaPBusyFromUtilization(uBus_, n_);
+        double p_busy_mem = mvaPBusyFromUtilization(uMem_, n_);
+        next_[k_] = p_busy_mem * t.dMem / 2.0;
 
-        for (size_t k = 0; k < num_classes; ++k) {
-            double q = 0.0;
-            for (size_t j = 0; j < num_classes; ++j) {
-                double pop = static_cast<double>(classes[j].count) -
-                    (j == k ? 1.0 : 0.0);
-                q += pop * (r_bc[j] + r_rr[j]) / r[j];
-            }
-            q = std::clamp(q, 0.0, n_total - 1.0);
-            double w_new = (n_total > 1.0)
-                ? std::max(0.0, q - p_busy_bus) * t_bus +
+        for (size_t k = 0; k < k_; ++k) {
+            next_[k] = (nTotal_ > 1.0)
+                ? std::max(0.0, arrivalQueue(k) - p_busy_bus) * t_bus +
                     p_busy_bus * t_res
                 : 0.0;
-            w_bus[k] = damping * w_new + (1.0 - damping) * w_bus[k];
         }
-        w_mem = damping * w_mem_new + (1.0 - damping) * w_mem;
-        r = r_new;
-
-        res.iterations = it;
-        res.busUtil = std::min(u_bus, 1.0);
-        res.memUtil = std::min(u_mem, 1.0);
-        res.wMem = w_mem;
-        if (!force_nonconverge && max_delta < opts.tolerance) {
-            res.converged = true;
-            break;
-        }
+        return next_;
     }
 
-    double share_total = 0.0;
-    res.totalSpeedup = 0.0;
-    res.wBus = 0.0;
-    for (size_t k = 0; k < num_classes; ++k) {
-        const auto &cls = classes[k];
-        res.classes[k].name = cls.name;
-        res.classes[k].count = cls.count;
-        res.classes[k].speedup = static_cast<double>(cls.count) *
-            (cls.inputs.tau + t_supply) / r[k];
-        res.totalSpeedup += res.classes[k].speedup;
-        share_total += res.classes[k].busDemandShare;
-        // population-weighted mean bus wait
-        res.wBus += static_cast<double>(cls.count) * w_bus[k] / n_total;
+    FixedPointDelta commit(double damping)
+    {
+        const double *r_new = next_.data() + k_ + 1;
+        for (size_t k = 0; k < k_; ++k) {
+            res_.classes[k].responseTime = r_new[k];
+            res_.classes[k].busDemandShare = share_[k];
+            wBus_[k] = damping * next_[k] + (1.0 - damping) * wBus_[k];
+        }
+        wMem_ = damping * next_[k_] + (1.0 - damping) * wMem_;
+        std::copy(r_new, r_new + k_, r_.begin());
+        res_.busUtil = std::min(uBus_, 1.0);
+        res_.memUtil = std::min(uMem_, 1.0);
+        res_.wMem = wMem_;
+        return {maxDelta_, 1.0};
     }
-    if (share_total > 0.0) {
-        for (auto &c : res.classes)
-            c.busDemandShare /= share_total;
+
+    /** Per-class speedups, bus shares and the mean bus wait of the
+     * final iterate. */
+    void finish()
+    {
+        double share_total = 0.0;
+        res_.totalSpeedup = 0.0;
+        res_.wBus = 0.0;
+        for (size_t k = 0; k < k_; ++k) {
+            const auto &cls = classes_[k];
+            res_.classes[k].name = cls.name;
+            res_.classes[k].count = cls.count;
+            res_.classes[k].speedup = static_cast<double>(cls.count) *
+                (consts_[k].tau + bus().tSupply) / r_[k];
+            res_.totalSpeedup += res_.classes[k].speedup;
+            share_total += res_.classes[k].busDemandShare;
+            // population-weighted mean bus wait
+            res_.wBus +=
+                static_cast<double>(cls.count) * wBus_[k] / nTotal_;
+        }
+        if (share_total > 0.0) {
+            for (auto &c : res_.classes)
+                c.busDemandShare /= share_total;
+        }
     }
-    return res;
-}
+
+  private:
+    /** The shared bus and memory timing (solveMulticlass admits only
+     * classes that agree on it; the first class's copy is used). */
+    const MvaStepConstants &bus() const { return consts_.front(); }
+
+    /** Bus queue seen by an arriving class-@p k request: the
+     * population-weighted sum with one class-k customer removed. */
+    double arrivalQueue(size_t k) const
+    {
+        double q = 0.0;
+        for (size_t j = 0; j < k_; ++j) {
+            double pop = static_cast<double>(classes_[j].count) -
+                (j == k ? 1.0 : 0.0);
+            q += pop * (rBc_[j] + rRr_[j]) / r_[j];
+        }
+        return std::clamp(q, 0.0, nTotal_ - 1.0);
+    }
+
+    const std::vector<ProcessorClass> &classes_;
+    MulticlassResult &res_;
+    const size_t k_;
+    unsigned n_ = 0;      ///< processors across all classes
+    double nTotal_ = 0.0; ///< the same, as a double
+    std::vector<MvaStepConstants> consts_;
+    std::vector<double> wBus_, r_, rBc_, rRr_, share_;
+    double wMem_ = 0.0;
+    double maxDelta_ = 0.0, uBus_ = 0.0, uMem_ = 0.0;
+    std::vector<double> next_;
+};
 
 } // namespace
 
@@ -235,47 +220,18 @@ solveMulticlass(const std::vector<ProcessorClass> &classes,
     ScopedMetricTimer solve_timer("mva.multiclass.solve_us");
     TraceSpan solve_span(TraceLevel::Phase, "mva.multiclass.solve",
                          classes.size());
-    auto observeAttempt = [](size_t rung, double damping,
-                             const MulticlassResult &r) {
-        metricAdd("mva.multiclass.attempts");
-        metricAdd("mva.multiclass.iterations", r.iterations);
-        if (traceEnabled(TraceLevel::Phase)) {
-            traceInstant(TraceLevel::Phase, "mva.multiclass.attempt",
-                         static_cast<uint64_t>(rung),
-                         strprintf("\"damping\":%g,\"iterations\":%d,"
-                                   "\"converged\":%s",
-                                   damping, r.iterations,
-                                   r.converged ? "true" : "false"));
-        }
-    };
 
-    // The configured damping first, then every shared rung strictly
-    // below it, as MvaSolver does (util/fixed_point.hh).
-    const std::vector<double> ladder = recoveryLadder(options.damping);
-    MulticlassResult res =
-        solveOnce(classes, options, ladder[0],
-                  faultArmed("mva.multiclass.first_attempt"));
-    observeAttempt(0, ladder[0], res);
-    for (size_t rung = 1; rung < ladder.size() && !res.converged;
-         ++rung) {
-        res = solveOnce(classes, options, ladder[rung], false);
-        observeAttempt(rung, ladder[rung], res);
-    }
-    if (!res.converged) {
-        switch (options.onNonConvergence) {
-          case NonConvergencePolicy::Warn:
-            warn("solveMulticlass: no convergence after %d iterations",
-                 options.maxIterations);
-            break;
-          case NonConvergencePolicy::Fatal:
-            throw SolveException(makeError(
-                SolveErrorCode::NonConvergence, "solveMulticlass",
-                "no convergence after %d iterations",
-                options.maxIterations));
-          case NonConvergencePolicy::Accept:
-            break;
-        }
-    }
+    MulticlassResult res;
+    MulticlassStep step(classes, res);
+    FixedPointLadder ladder =
+        solveFixedPoint(step, options, kMulticlassSite, [&] {
+            return strprintf("%zu classes", classes.size());
+        }).orThrow();
+    step.finish();
+    res.iterations = ladder.last().iterations;
+    res.converged = ladder.last().converged;
+    res.budgetExhausted = ladder.budgetExhausted();
+    res.attempts = ladder.takeAttempts();
 
     NumericGuard guard("solveMulticlass",
                        strprintf("%zu classes", classes.size()));

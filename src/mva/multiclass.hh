@@ -52,15 +52,21 @@ struct MulticlassResult
     double memUtil = 0.0;
     double wBus = 0.0;
     double wMem = 0.0;
-    int iterations = 0;
+    int iterations = 0;     ///< iterations of the final attempt
     bool converged = false;
+    /** The time/iteration budget cut the ladder short (MvaOptions). */
+    bool budgetExhausted = false;
+    /** One entry per recovery-ladder attempt, in execution order. */
+    std::vector<SolveAttempt> attempts;
 };
 
 /**
- * Solve the multi-class model. All classes must share timing constants
- * (throws SolveException otherwise). With a single class the result
- * matches
- * MvaSolver::solve exactly.
+ * Solve the multi-class model through the same fixed-point driver as
+ * MvaSolver (mva/fixed_point.hh: ladder, budgets, non-finite
+ * bail-out, policy). All classes must share timing constants. Throws
+ * SolveException on invalid classes or options, an expired time
+ * budget, a non-finite iterate, or (under Fatal) non-convergence.
+ * With a single class the result matches MvaSolver::solve exactly.
  */
 MulticlassResult solveMulticlass(const std::vector<ProcessorClass> &classes,
                                  const MvaOptions &options = {});

@@ -8,10 +8,36 @@
 #include <string>
 #include <vector>
 
-#include "util/fixed_point.hh"
 #include "workload/derived.hh"
 
 namespace snoop {
+
+/**
+ * What a solver does when the iteration budget runs out before the
+ * tolerance is reached. The silent legacy behavior (return with
+ * converged == false and say nothing) is deliberately not offered:
+ * an unconverged fixed point consumed as if converged is exactly the
+ * failure mode the paper's accuracy claim cannot survive.
+ */
+enum class NonConvergencePolicy {
+    Warn,   ///< warn() and return the last iterate (default)
+    Fatal,  ///< throw SolveException: treat as an unusable configuration
+    Accept, ///< return silently; caller promises to check converged
+};
+
+/**
+ * One rung of a recovery ladder: how a single solve attempt at a
+ * given damping factor ended. Every MVA solver records these the same
+ * way (mva/fixed_point.hh), so diagnostics read uniformly.
+ */
+struct SolveAttempt
+{
+    double damping = 1.0;   ///< damping factor used for this attempt
+    int iterations = 0;     ///< iterations performed in this attempt
+    double residual = 0.0;  ///< final residual of this attempt
+    bool converged = false; ///< attempt reached the tolerance
+    bool nonFinite = false; ///< attempt aborted on a NaN/inf iterate
+};
 
 /**
  * Performance measures for one (workload, protocol, N) configuration,

@@ -1,15 +1,15 @@
 #include "mva/solver.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cmath>
 #include <optional>
+#include <span>
 
+#include "mva/fixed_point.hh"
 #include "mva/kernel.hh"
 #include "observe/metrics.hh"
 #include "observe/trace.hh"
-#include "util/contracts.hh"
-#include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -45,14 +45,89 @@ validateResult(const MvaResult &res)
     return validateMvaResult(res);
 }
 
+/**
+ * The flat model's step for the fixed-point driver: one mvaStep() of
+ * eqs. (1)-(13) from (wBus, wMem, R) and the damped update. The
+ * arithmetic lives in mva/kernel.hh so the batch solver executes the
+ * identical sequence per lane (the bit-identity contract); the
+ * measures of the last committed iteration go straight into the
+ * result being built.
+ */
+class MvaScalarStep
+{
+  public:
+    MvaScalarStep(const MvaStepConstants &c, const MvaSeed &seed,
+                  double tau, MvaResult &res)
+        : c_(c), seed_(seed),
+          r0_(seed.rTotal > 0.0 ? seed.rTotal : tau + c.tSupply),
+          res_(res)
+    {
+    }
+
+    void restart()
+    {
+        // Section 3.2: start with all waiting times set to zero and
+        // R = tau + T_supply - or, under warm-start continuation,
+        // from the full seeded state of a neighboring solution (the
+        // all-zero MvaSeed reproduces the paper's cold start).
+        wBus_ = seed_.wBus;
+        wMem_ = seed_.wMem;
+        rTotal_ = r0_;
+        res_.rLocal = res_.rBroadcast = res_.rRemoteRead = 0.0;
+        res_.qBus = res_.busUtil = res_.pBusyBus = res_.tBus = 0.0;
+        res_.tResBus = res_.memUtil = res_.pBusyMem = 0.0;
+        res_.nInterference = res_.tInterference = 0.0;
+    }
+
+    std::span<double> propose()
+    {
+        o_ = mvaStep(c_, wBus_, wMem_, rTotal_);
+        next_ = {o_.wBusNew, o_.wMemNew, o_.rNew};
+        return next_;
+    }
+
+    FixedPointDelta commit(double damping)
+    {
+        const double delta = std::fabs(next_[2] - rTotal_);
+        wBus_ = damping * next_[0] + (1.0 - damping) * wBus_;
+        wMem_ = damping * next_[1] + (1.0 - damping) * wMem_;
+        rTotal_ = next_[2];
+        res_.rLocal = o_.rLocal;
+        res_.rBroadcast = o_.rBc;
+        res_.rRemoteRead = o_.rRr;
+        res_.qBus = o_.qBus;
+        res_.busUtil = std::min(o_.uBus, 1.0);
+        res_.pBusyBus = o_.pBusyBus;
+        res_.tBus = o_.tBus;
+        res_.tResBus = o_.tResBus;
+        res_.memUtil = std::min(o_.uMem, 1.0);
+        res_.pBusyMem = o_.pBusyMem;
+        res_.nInterference = o_.nInt;
+        res_.tInterference = c_.tInt;
+        return {delta, std::max(1.0, std::fabs(rTotal_))};
+    }
+
+    const MvaStepConstants &constants() const { return c_; }
+    double wBus() const { return wBus_; }
+    double wMem() const { return wMem_; }
+    double rTotal() const { return rTotal_; }
+
+  private:
+    const MvaStepConstants c_;
+    const MvaSeed seed_;
+    const double r0_;
+    MvaResult &res_;
+    double wBus_ = 0.0, wMem_ = 0.0, rTotal_ = 0.0;
+    MvaStepValues o_;
+    std::array<double, 3> next_{};
+};
+
 } // namespace
 
 Expected<MvaResult>
 MvaSolver::trySolve(const DerivedInputs &d, unsigned n,
                     const MvaSeed &seed) const
 {
-    using clock = std::chrono::steady_clock;
-
     if (n == 0) {
         return makeError(SolveErrorCode::InvalidArgument,
                          "MvaSolver::solve",
@@ -61,16 +136,6 @@ MvaSolver::trySolve(const DerivedInputs &d, unsigned n,
     if (auto err = checkMvaSeed(seed))
         return std::move(*err);
 
-    // Fault-site arming is captured once per solve so injection is a
-    // pure function of the configuration, not of pool scheduling.
-    const bool inject_nonconverge = faultArmed("mva.nonconverge");
-    const bool inject_first = faultArmed("mva.first_attempt");
-
-    // The paper's plain successive substitution (Section 3.2) converges
-    // quickly below saturation. Deep in saturation it can cycle or
-    // blow up, so on a failed attempt we re-run the whole solve with a
-    // heavier fixed damping factor (geometric contraction restores
-    // convergence). Every attempt is recorded for diagnostics.
     metricAdd("mva.solves");
     const bool warm =
         seed.wBus != 0.0 || seed.wMem != 0.0 || seed.rTotal != 0.0;
@@ -84,195 +149,46 @@ MvaSolver::trySolve(const DerivedInputs &d, unsigned n,
                       d.protocol.name().c_str(),
                       warm ? "true" : "false"));
     }
-    auto observeAttempt = [](size_t rung, const SolveAttempt &a) {
-        metricAdd("mva.attempts");
-        metricAdd("mva.iterations", a.iterations);
-        if (traceEnabled(TraceLevel::Phase)) {
-            traceInstant(TraceLevel::Phase, "mva.attempt",
-                         static_cast<uint64_t>(rung),
-                         strprintf("\"damping\":%g,\"iterations\":%d,"
-                                   "\"residual\":%.17g,\"converged\":%s",
-                                   a.damping, a.iterations, a.residual,
-                                   a.converged ? "true" : "false"));
-        }
-    };
 
-    // Budgets span the whole ladder (mirroring FixedPointOptions):
-    // the wall-clock deadline is checked inside every attempt, the
-    // iteration budget shrinks each attempt's cap.
-    const bool budgeted_time = opts_.timeBudget > 0.0;
-    const clock::time_point deadline = budgeted_time
-        ? clock::now() + std::chrono::duration_cast<clock::duration>(
-              std::chrono::duration<double>(opts_.timeBudget))
-        : clock::time_point{};
-    long iters_used = 0;
-    auto attemptCap = [&](bool *exhausted) {
-        int max_it = opts_.maxIterations;
-        if (opts_.iterationBudget > 0) {
-            long remaining = opts_.iterationBudget - iters_used;
-            if (remaining <= 0) {
-                *exhausted = true;
-                return 0;
-            }
-            if (remaining < max_it)
-                max_it = static_cast<int>(remaining);
-        }
-        return max_it;
-    };
+    // The paper's plain successive substitution (Section 3.2)
+    // converges quickly below saturation; deep in saturation it can
+    // cycle or blow up, and the driver's recovery ladder re-runs the
+    // solve from the seed at heavier damping.
+    MvaResult res;
+    res.numProcessors = n;
+    res.inputs = d;
+    res.warmStarted = warm;
+    MvaScalarStep step(mvaStepConstants(d, n), seed, d.tau, res);
+    Expected<FixedPointLadder> run = solveFixedPoint(
+        step, opts_, kMvaSite,
+        [&] { return mvaInstance(n, d); },
+        opts_.recordTrace ? &res.convergenceTrace : nullptr);
+    if (!run.ok())
+        return std::move(run).error();
 
-    // The ladder schedule: the configured damping first, then every
-    // shared rung strictly below it (recoveryLadder skips ineligible
-    // rungs - the old loop *broke* on the first rung >= the
-    // configured damping, which left recovery dead for any
-    // configured damping <= 0.5).
-    const std::vector<double> ladder = recoveryLadder(opts_.damping);
-
-    std::vector<SolveAttempt> attempts;
-    bool budget_out = false;
-    MvaResult res =
-        solveOnce(d, n, seed, ladder[0],
-                  inject_nonconverge || inject_first,
-                  attemptCap(&budget_out),
-                  budgeted_time ? &deadline : nullptr);
-    iters_used += res.iterations;
-    attempts.push_back(mvaAttemptOf(res, ladder[0]));
-    observeAttempt(0, attempts.back());
-    for (size_t rung = 1; rung < ladder.size(); ++rung) {
-        if (res.converged || res.budgetExhausted)
-            break;
-        int cap = attemptCap(&budget_out);
-        if (budget_out) {
-            res.budgetExhausted = true;
-            break;
-        }
-        // Check the wall clock before launching the attempt too: a
-        // retry that starts past the deadline would overwrite the
-        // previous attempt's state with a zero-iteration restart.
-        if (budgeted_time && clock::now() >= deadline) {
-            res.budgetExhausted = true;
-            break;
-        }
-        res = solveOnce(d, n, seed, ladder[rung], inject_nonconverge,
-                        cap, budgeted_time ? &deadline : nullptr);
-        iters_used += res.iterations;
-        attempts.push_back(mvaAttemptOf(res, ladder[rung]));
-        observeAttempt(attempts.size() - 1, attempts.back());
-    }
-    res.attempts = std::move(attempts);
-
-    Expected<MvaResult> final_res =
-        disposeMvaResult(std::move(res), opts_, iters_used, n, d);
-    if (final_res.ok()) {
-        if (auto err = validateResult(final_res.value()))
-            return std::move(*err);
-    }
-    return final_res;
+    FixedPointLadder &ladder = run.value();
+    const SolveAttempt &last = ladder.last();
+    res.iterations = last.iterations;
+    res.converged = last.converged;
+    res.residual = last.residual;
+    res.nonFinite = last.nonFinite;
+    res.budgetExhausted = ladder.budgetExhausted();
+    res.attempts = ladder.takeAttempts();
+    const MvaStepConstants &c = step.constants();
+    res.wBus = step.wBus();
+    res.wMem = step.wMem();
+    res.responseTime = step.rTotal();
+    res.speedup = c.numProc * (d.tau + c.tSupply) / res.responseTime;
+    res.processingPower = c.numProc * d.tau / res.responseTime;
+    if (auto err = validateResult(res))
+        return std::move(*err);
+    return res;
 }
 
 MvaResult
 MvaSolver::solve(const DerivedInputs &d, unsigned n) const
 {
     return trySolve(d, n).orThrow();
-}
-
-MvaResult
-MvaSolver::solveOnce(const DerivedInputs &d, unsigned n,
-                     const MvaSeed &seed, double damping_override,
-                     bool force_nonconverge, int max_iterations,
-                     const std::chrono::steady_clock::time_point
-                         *deadline) const
-{
-    using clock = std::chrono::steady_clock;
-
-    const bool inject_nan = faultArmed("mva.nan");
-    const MvaStepConstants c = mvaStepConstants(d, n);
-
-    MvaResult res;
-    res.numProcessors = n;
-    res.inputs = d;
-    res.warmStarted =
-        seed.wBus != 0.0 || seed.wMem != 0.0 || seed.rTotal != 0.0;
-
-    // Section 3.2: start with all waiting times set to zero and
-    // R = tau + T_supply - or, under warm-start continuation, from
-    // the full seeded state of a neighboring solution (the all-zero
-    // MvaSeed reproduces the paper's cold start exactly).
-    double w_bus = seed.wBus;
-    double w_mem = seed.wMem;
-    double r_total = seed.rTotal > 0.0 ? seed.rTotal : d.tau + c.tSupply;
-
-    double damping = damping_override > 0.0 ? damping_override
-                                            : opts_.damping;
-
-    for (int it = 1; it <= max_iterations; ++it) {
-        if (deadline != nullptr && clock::now() >= *deadline) {
-            res.budgetExhausted = true;
-            break;
-        }
-        // One update step of eqs. (1)-(13); the arithmetic lives in
-        // mva/kernel.hh so the batch solver executes the identical
-        // sequence per lane (the bit-identity contract).
-        const MvaStepValues o = mvaStep(c, w_bus, w_mem, r_total);
-        double w_bus_new = o.wBusNew;
-        if (inject_nan && it == 2)
-            w_bus_new = std::nan("");
-
-        // --- Non-finite bail-out -------------------------------------
-        // Abort before the poisoned values reach the damped state, so
-        // the returned measures are the last finite iterate and the
-        // ladder can retry from a clean slate.
-        if (!std::isfinite(o.rNew) || !std::isfinite(w_bus_new) ||
-            !std::isfinite(o.wMemNew)) {
-            res.iterations = it;
-            res.nonFinite = true;
-            break;
-        }
-
-        // --- Damped update and convergence check ---------------------
-        double w_bus_next = damping * w_bus_new + (1.0 - damping) * w_bus;
-        double w_mem_next = damping * o.wMemNew + (1.0 - damping) * w_mem;
-        double delta = std::fabs(o.rNew - r_total);
-        if (opts_.recordTrace)
-            res.convergenceTrace.push_back(delta);
-
-        w_bus = w_bus_next;
-        w_mem = w_mem_next;
-        r_total = o.rNew;
-        res.iterations = it;
-        res.residual = delta;
-        if (traceEnabled(TraceLevel::Iteration)) {
-            traceInstant(TraceLevel::Iteration, "mva.iteration",
-                         static_cast<uint64_t>(it),
-                         strprintf("\"delta\":%.17g,\"damping\":%g",
-                                   delta, damping));
-        }
-
-        res.rLocal = o.rLocal;
-        res.rBroadcast = o.rBc;
-        res.rRemoteRead = o.rRr;
-        res.qBus = o.qBus;
-        res.busUtil = std::min(o.uBus, 1.0);
-        res.pBusyBus = o.pBusyBus;
-        res.tBus = o.tBus;
-        res.tResBus = o.tResBus;
-        res.memUtil = std::min(o.uMem, 1.0);
-        res.pBusyMem = o.pBusyMem;
-        res.nInterference = o.nInt;
-        res.tInterference = c.tInt;
-
-        if (!force_nonconverge &&
-            delta < opts_.tolerance * std::max(1.0, std::fabs(r_total))) {
-            res.converged = true;
-            break;
-        }
-    }
-
-    res.wBus = w_bus;
-    res.wMem = w_mem;
-    res.responseTime = r_total;
-    res.speedup = c.numProc * (d.tau + c.tSupply) / r_total;
-    res.processingPower = c.numProc * d.tau / r_total;
-    return res;
 }
 
 MvaResult

@@ -9,19 +9,22 @@
  * all-zero waiting times (Section 3.2).
  */
 
-#include <chrono>
 #include <vector>
 
 #include "mva/result.hh"
 #include "protocol/config.hh"
 #include "util/expected.hh"
-#include "util/fixed_point.hh"
 #include "workload/derived.hh"
 #include "workload/params.hh"
 
 namespace snoop {
 
-/** Numerical options for the MVA fixed point. */
+/**
+ * Numerical options for the MVA fixed point, shared by every MVA
+ * solver (MvaSolver, BatchMvaSolver, solveMulticlass,
+ * solveHierarchical) and enforced by their one driver,
+ * mva/fixed_point.hh.
+ */
 struct MvaOptions
 {
     int maxIterations = 500;   ///< iteration budget
@@ -32,7 +35,7 @@ struct MvaOptions
     bool recordTrace = false;
     /**
      * Behavior when the damping fallback ladder is exhausted without
-     * convergence (see NonConvergencePolicy in util/fixed_point.hh).
+     * convergence (see NonConvergencePolicy in mva/result.hh).
      */
     NonConvergencePolicy onNonConvergence = NonConvergencePolicy::Warn;
     /**
@@ -98,7 +101,9 @@ class MvaSolver
     /**
      * Solve for @p n processors without terminating or throwing.
      * Errors: InvalidArgument (n == 0), NonFiniteIterate (a NaN/inf
-     * iterate survived the damping ladder), NonConvergence (only under
+     * iterate survived the damping ladder), BudgetExhausted (the time
+     * budget expired before the first iteration, or a budget cut the
+     * ladder under Fatal), NonConvergence (only under
      * NonConvergencePolicy::Fatal), NumericRange (a finished measure
      * violates its defining range). Under Warn/Accept an unconverged
      * solve is a *value* with converged == false.
@@ -136,21 +141,6 @@ class MvaSolver
     const MvaOptions &options() const { return opts_; }
 
   private:
-    /**
-     * One fixed-point run from @p seed. @p damping_override replaces
-     * the configured damping when positive (used by the saturation
-     * fallback ladder); @p force_nonconverge suppresses the
-     * convergence check (fault injection); @p max_iterations caps
-     * this attempt (the ladder shrinks it when an iteration budget is
-     * configured). A non-finite iterate aborts the run with nonFinite
-     * set instead of poisoning the returned measures.
-     */
-    MvaResult solveOnce(const DerivedInputs &inputs, unsigned n,
-                        const MvaSeed &seed, double damping_override,
-                        bool force_nonconverge, int max_iterations,
-                        const std::chrono::steady_clock::time_point
-                            *deadline) const;
-
     MvaOptions opts_;
 };
 

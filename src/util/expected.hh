@@ -16,7 +16,7 @@
  *                    call paths that cannot return Expected.
  *  - Expected<T>:    a value or a SolveError, with explicit unwrap.
  *
- * Library solver paths (util/fixed_point, the mva layer, core/analyzer,
+ * Library solver paths (the mva layer, core/analyzer,
  * core/sweep, core/solve_for) report failures through these types and
  * never call fatal() - enforced by the snoop_lint rule
  * `no-fatal-in-solver`. Converting an error into process exit is the

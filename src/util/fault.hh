@@ -27,18 +27,14 @@
  *
  *  | site                      | effect                                |
  *  |---------------------------|---------------------------------------|
- *  | fixed_point.nan           | NaN iterate every iteration           |
- *  | fixed_point.nonconverge   | residual never passes tolerance       |
- *  | fixed_point.first_attempt | first ladder attempt fails (recovers) |
- *  | mva.nan                   | NaN bus wait inside the MVA iteration |
- *  | mva.nonconverge           | MVA attempt never converges           |
- *  | mva.first_attempt         | first MVA attempt fails (recovers)    |
- *  | mva.multiclass.first_attempt                                      |
- *  |                           | first solveMulticlass attempt fails   |
- *  |                           | (recovers)                            |
- *  | mva.hierarchical.first_attempt                                    |
- *  |                           | first solveHierarchical attempt fails |
- *  |                           | (recovers)                            |
+ *  | mva.nan                   | NaN in the iterate at iteration 2 of  |
+ *  |                           | every attempt (NonFiniteIterate)      |
+ *  | mva.nonconverge           | no ladder attempt converges           |
+ *  | mva.first_attempt         | first ladder attempt fails (recovers) |
+ *  | mva.multiclass.{nan,nonconverge,first_attempt}                    |
+ *  | mva.hierarchical.{nan,nonconverge,first_attempt}                  |
+ *  |                           | the same three for solveMulticlass    |
+ *  |                           | and solveHierarchical                 |
  *  | sweep.cell                | keyed: sweep cell throws              |
  *  | sweep.checkpoint          | keyed by checkpoint ordinal: the      |
  *  |                           | sweep aborts after that commit (the   |
@@ -48,6 +44,9 @@
  *  | serve.request             | keyed by request id: serve cell fails |
  *  | io.commit                 | AtomicFile::commit fails              |
  *  | io.fsync                  | AtomicFile fsync step fails           |
+ *
+ * The solver sites are armed once per solve by the shared fixed-point
+ * driver (mva/fixed_point.hh); BatchMvaSolver lanes answer to mva.*.
  *
  * The no-fault fast path is one relaxed atomic load; production runs
  * with SNOOP_FAULT unset pay nothing measurable.

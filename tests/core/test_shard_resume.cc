@@ -186,5 +186,52 @@ TEST_F(ShardResume, ErrorCellsSurviveTheKillAndResume)
     EXPECT_EQ(allOutputs(resumed.value()), allOutputs(golden));
 }
 
+
+TEST_F(ShardResume, EmptyShardsStillWriteTheirCheckpoint)
+{
+    // 33 shards of a 20-cell grid: 13 slices are empty. Each must
+    // still leave a (header-only) checkpoint, or snoop_merge finds the
+    // shard missing; merging all of them rebuilds the unsharded run.
+    SweepSpec spec = resumableSpec();
+    const SweepResult whole = runSweep(spec);
+    const size_t count = 33;
+
+    SweepResult merged;
+    merged.spec = spec;
+    merged.results.assign(spec.values.size(),
+                          std::vector<MvaResult>(spec.protocols.size()));
+    merged.errors.assign(spec.values.size(),
+                         std::vector<std::optional<SolveError>>(
+                             spec.protocols.size()));
+    merged.evaluated.assign(spec.values.size(),
+                            std::vector<char>(spec.protocols.size(), 0));
+    size_t empty = 0;
+    for (size_t index = 0; index < count; ++index) {
+        SweepSpec shard = spec;
+        shard.shard = {index, count};
+        shard.checkpointPath = path_ + strprintf(".%zu", index);
+        std::remove(shard.checkpointPath.c_str());
+        auto res = tryRunSweep(shard);
+        ASSERT_TRUE(res.ok()) << res.error().describe();
+        ASSERT_TRUE(checkpointExists(shard.checkpointPath))
+            << "shard " << index << "/" << count;
+        auto data = readSweepCheckpoint(shard.checkpointPath);
+        std::remove(shard.checkpointPath.c_str());
+        ASSERT_TRUE(data.ok()) << data.error().describe();
+        auto [begin, end] = shard.shard.cellRange(20);
+        ASSERT_EQ(data.value().cells.size(), end - begin);
+        empty += begin == end ? 1 : 0;
+        for (const CheckpointCell &cell : data.value().cells) {
+            size_t v = cell.cell / spec.protocols.size();
+            size_t p = cell.cell % spec.protocols.size();
+            ASSERT_TRUE(cell.ok);
+            merged.results[v][p] = cell.result;
+            merged.evaluated[v][p] = 1;
+        }
+    }
+    EXPECT_EQ(empty, 13u);
+    EXPECT_EQ(allOutputs(merged), allOutputs(whole));
+}
+
 } // namespace
 } // namespace snoop

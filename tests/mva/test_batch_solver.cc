@@ -297,6 +297,101 @@ TEST_F(BatchSolver, LadderRescuesAFaultedFirstAttemptBelowHalf)
     EXPECT_TRUE(r.attempts.back().converged);
 }
 
+TEST_F(BatchSolver, IterationBudgetLanesMatchScalarBitForBit)
+{
+    // Budgeted lanes across policies and dampings, mixed with
+    // unbudgeted ones: every cut - on the first rung, mid-ladder, or
+    // never - must match the scalar solve, error codes and messages
+    // included.
+    const long budgets[] = {0, 1, 3, 17, 40, 200, 100000};
+    const double dampings[] = {1.0, 0.5, 0.3};
+    std::vector<MvaJob> jobs;
+    for (size_t k = 0; k < 42; ++k) {
+        MvaJob job;
+        job.inputs = appendixAInputs(kSharingLevels[k % 3],
+                                     k % 2 ? "13" : "");
+        job.n = 4 + static_cast<unsigned>(7 * k % 60);
+        job.opts.iterationBudget = budgets[k % 7];
+        job.opts.damping = dampings[k / 7 % 3];
+        job.opts.maxIterations = k % 4 == 0 ? 25 : 500;
+        job.opts.onNonConvergence = k % 5 == 0
+            ? NonConvergencePolicy::Fatal
+            : NonConvergencePolicy::Accept;
+        jobs.push_back(std::move(job));
+    }
+    auto scalar = scalarReference(jobs);
+    size_t cut = 0, failed = 0;
+    for (const auto &r : scalar) {
+        if (!r.ok())
+            ++failed;
+        else if (r.value().budgetExhausted)
+            ++cut;
+    }
+    EXPECT_GT(cut, 0u);
+    EXPECT_GT(failed, 0u);
+    for (size_t block : {1u, 4u, 16u}) {
+        SCOPED_TRACE("blockSize=" + std::to_string(block));
+        BatchMvaSolver batch(BatchOptions{block});
+        expectBatchMatchesScalar(batch.solveBatch(jobs), scalar);
+    }
+}
+
+TEST_F(BatchSolver, IterationBudgetCutsMidLadderUnderFirstAttemptFault)
+{
+    // mva.first_attempt burns the whole first rung; the budget then
+    // leaves the second rung too few iterations (or none at all).
+    ASSERT_TRUE(setFaultSpecs("mva.first_attempt").ok());
+    std::vector<MvaJob> jobs;
+    for (long budget : {20L, 21L, 25L, 30L, 60L, 1000L}) {
+        for (auto policy : {NonConvergencePolicy::Accept,
+                            NonConvergencePolicy::Fatal}) {
+            MvaJob job;
+            job.inputs = appendixAInputs(SharingLevel::FivePercent, "1");
+            job.n = 16;
+            job.opts.maxIterations = 20;
+            job.opts.iterationBudget = budget;
+            job.opts.onNonConvergence = policy;
+            jobs.push_back(std::move(job));
+        }
+    }
+    auto scalar = scalarReference(jobs);
+    ASSERT_TRUE(scalar[0].ok());
+    EXPECT_TRUE(scalar[0].value().budgetExhausted);
+    EXPECT_EQ(scalar[0].value().attempts.size(), 1u);
+    ASSERT_TRUE(scalar[4].ok());
+    EXPECT_TRUE(scalar[4].value().budgetExhausted);
+    EXPECT_EQ(scalar[4].value().attempts.size(), 2u);
+    ASSERT_FALSE(scalar[5].ok());
+    EXPECT_EQ(scalar[5].error().code, SolveErrorCode::BudgetExhausted);
+    BatchMvaSolver batch(BatchOptions{4});
+    expectBatchMatchesScalar(batch.solveBatch(jobs), scalar);
+}
+
+TEST_F(BatchSolver, ExpiredTimeBudgetLaneFailsAloneWithTheScalarError)
+{
+    // One lane's wall-clock budget is gone before its first
+    // iteration; a generous budget on another lane never fires. The
+    // untimed and generously timed lanes stay bit-identical.
+    std::vector<MvaJob> jobs(4);
+    for (size_t k = 0; k < jobs.size(); ++k) {
+        jobs[k].inputs = appendixAInputs(SharingLevel::FivePercent,
+                                         k % 2 ? "13" : "");
+        jobs[k].n = 8 + static_cast<unsigned>(k);
+        jobs[k].opts.onNonConvergence = NonConvergencePolicy::Accept;
+    }
+    jobs[1].opts.timeBudget = 1e-12; // expires before the first check
+    jobs[3].opts.timeBudget = 3600.0;
+    auto scalar = scalarReference(jobs);
+    ASSERT_FALSE(scalar[1].ok());
+    EXPECT_EQ(scalar[1].error().code, SolveErrorCode::BudgetExhausted);
+    BatchMvaSolver batch;
+    auto solved = batch.solveBatch(jobs);
+    expectBatchMatchesScalar(solved, scalar);
+    EXPECT_TRUE(solved[0].ok());
+    EXPECT_TRUE(solved[2].ok());
+    EXPECT_TRUE(solved[3].ok());
+}
+
 TEST_F(BatchSolver, EmptyBatchIsANoOp)
 {
     BatchMvaSolver batch;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "mva/hierarchical.hh"
+#include "util/fault.hh"
 
 namespace snoop {
 namespace {
@@ -174,6 +175,85 @@ TEST(Hierarchical, BadConfigThrows)
         presets::appendixA(SharingLevel::FivePercent),
         ProtocolConfig::writeOnce());
     EXPECT_THROW(hierarchicalFromFlat(d, 2, 2, 2.0), SolveException);
+}
+
+/** The SolveErrorCode solveHierarchical throws under @p opts. */
+SolveErrorCode
+thrownCode(const MvaOptions &opts)
+{
+    try {
+        solveHierarchical(base(), opts);
+    } catch (const SolveException &e) {
+        return e.error().code;
+    }
+    ADD_FAILURE() << "expected SolveException";
+    return SolveErrorCode::Internal;
+}
+
+/** Disarms every fault site when the test ends, pass or fail. */
+struct FaultReset
+{
+    ~FaultReset() { clearFaultSpecs(); }
+};
+
+TEST(Hierarchical, IterationBudgetUnderFatalThrowsBudgetExhausted)
+{
+    MvaOptions opts;
+    opts.iterationBudget = 1;
+    opts.onNonConvergence = NonConvergencePolicy::Fatal;
+    EXPECT_EQ(thrownCode(opts), SolveErrorCode::BudgetExhausted);
+}
+
+TEST(Hierarchical, IterationBudgetUnderAcceptReturnsTheCutSolve)
+{
+    MvaOptions opts;
+    opts.iterationBudget = 1;
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    auto r = solveHierarchical(base(), opts);
+    EXPECT_TRUE(r.budgetExhausted);
+    EXPECT_FALSE(r.converged);
+    EXPECT_LE(r.iterations, 1);
+    ASSERT_EQ(r.attempts.size(), 1u);
+    EXPECT_EQ(r.attempts[0].iterations, 1);
+}
+
+TEST(Hierarchical, ExpiredTimeBudgetThrowsBudgetExhausted)
+{
+    MvaOptions opts;
+    opts.timeBudget = 1e-12; // expires before the first iteration
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    EXPECT_EQ(thrownCode(opts), SolveErrorCode::BudgetExhausted);
+}
+
+TEST(Hierarchical, NanFaultIsANonFiniteIterate)
+{
+    FaultReset reset;
+    ASSERT_TRUE(setFaultSpecs("mva.hierarchical.nan").ok());
+    EXPECT_EQ(thrownCode(MvaOptions{}), SolveErrorCode::NonFiniteIterate);
+}
+
+TEST(Hierarchical, NonConvergenceNamesTheIterationsRun)
+{
+    MvaOptions opts;
+    opts.maxIterations = 3;
+    opts.onNonConvergence = NonConvergencePolicy::Fatal;
+    try {
+        solveHierarchical(base(), opts);
+        FAIL() << "expected SolveException";
+    } catch (const SolveException &e) {
+        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
+        EXPECT_NE(e.error().message.find(
+                      "after 15 iterations across 5 attempts"),
+                  std::string::npos)
+            << e.error().describe();
+    }
+}
+
+TEST(Hierarchical, BadOptionsThrowInvalidArgument)
+{
+    MvaOptions opts;
+    opts.tolerance = 0.0;
+    EXPECT_EQ(thrownCode(opts), SolveErrorCode::InvalidArgument);
 }
 
 } // namespace

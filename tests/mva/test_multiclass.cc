@@ -4,6 +4,7 @@
 
 #include "mva/multiclass.hh"
 #include "sim/prob_sim.hh"
+#include "util/fault.hh"
 
 namespace snoop {
 namespace {
@@ -138,6 +139,94 @@ TEST(Multiclass, BadInputsThrow)
         EXPECT_NE(std::string(e.what()).find("timing"),
                   std::string::npos);
     }
+}
+
+/** A contended two-class machine that needs many iterations. */
+std::vector<ProcessorClass>
+busyClasses()
+{
+    auto fast = appendixAInputs(SharingLevel::FivePercent, "", 2.5);
+    auto slow = appendixAInputs(SharingLevel::FivePercent, "", 10.0);
+    return {{"fast", 8, fast}, {"slow", 8, slow}};
+}
+
+/** The SolveErrorCode solveMulticlass throws under @p opts. */
+SolveErrorCode
+thrownCode(const MvaOptions &opts)
+{
+    try {
+        solveMulticlass(busyClasses(), opts);
+    } catch (const SolveException &e) {
+        return e.error().code;
+    }
+    ADD_FAILURE() << "expected SolveException";
+    return SolveErrorCode::Internal;
+}
+
+/** Disarms every fault site when the test ends, pass or fail. */
+struct FaultReset
+{
+    ~FaultReset() { clearFaultSpecs(); }
+};
+
+TEST(Multiclass, IterationBudgetUnderFatalThrowsBudgetExhausted)
+{
+    MvaOptions opts;
+    opts.iterationBudget = 1;
+    opts.onNonConvergence = NonConvergencePolicy::Fatal;
+    EXPECT_EQ(thrownCode(opts), SolveErrorCode::BudgetExhausted);
+}
+
+TEST(Multiclass, IterationBudgetUnderAcceptReturnsTheCutSolve)
+{
+    MvaOptions opts;
+    opts.iterationBudget = 1;
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    auto r = solveMulticlass(busyClasses(), opts);
+    EXPECT_TRUE(r.budgetExhausted);
+    EXPECT_FALSE(r.converged);
+    EXPECT_LE(r.iterations, 1);
+    ASSERT_EQ(r.attempts.size(), 1u);
+    EXPECT_EQ(r.attempts[0].iterations, 1);
+}
+
+TEST(Multiclass, ExpiredTimeBudgetThrowsBudgetExhausted)
+{
+    MvaOptions opts;
+    opts.timeBudget = 1e-12; // expires before the first iteration
+    opts.onNonConvergence = NonConvergencePolicy::Accept;
+    EXPECT_EQ(thrownCode(opts), SolveErrorCode::BudgetExhausted);
+}
+
+TEST(Multiclass, NanFaultIsANonFiniteIterate)
+{
+    FaultReset reset;
+    ASSERT_TRUE(setFaultSpecs("mva.multiclass.nan").ok());
+    EXPECT_EQ(thrownCode(MvaOptions{}), SolveErrorCode::NonFiniteIterate);
+}
+
+TEST(Multiclass, NonConvergenceNamesTheIterationsRun)
+{
+    MvaOptions opts;
+    opts.maxIterations = 3;
+    opts.onNonConvergence = NonConvergencePolicy::Fatal;
+    try {
+        solveMulticlass(busyClasses(), opts);
+        FAIL() << "expected SolveException";
+    } catch (const SolveException &e) {
+        EXPECT_EQ(e.error().code, SolveErrorCode::NonConvergence);
+        EXPECT_NE(e.error().message.find(
+                      "after 15 iterations across 5 attempts"),
+                  std::string::npos)
+            << e.error().describe();
+    }
+}
+
+TEST(Multiclass, BadOptionsThrowInvalidArgument)
+{
+    MvaOptions opts;
+    opts.damping = 0.0;
+    EXPECT_EQ(thrownCode(opts), SolveErrorCode::InvalidArgument);
 }
 
 TEST(SimConfigDeath, BadTauMultipliers)

@@ -44,11 +44,10 @@ TEST(SolveError, MakeErrorFormatsMessage)
 TEST(SolveError, DescribeRendersCodeSiteMessageAndContext)
 {
     auto e = makeError(SolveErrorCode::NonConvergence,
-                       "FixedPointSolver::trySolve", "no convergence");
+                       "solveHierarchical", "no convergence");
     std::string plain = e.describe();
     EXPECT_NE(plain.find("non-convergence"), std::string::npos);
-    EXPECT_NE(plain.find("FixedPointSolver::trySolve"),
-              std::string::npos);
+    EXPECT_NE(plain.find("solveHierarchical"), std::string::npos);
     EXPECT_NE(plain.find("no convergence"), std::string::npos);
 
     // Context frames accumulate innermost-first and all render.

@@ -103,9 +103,9 @@ isSolveCall(const std::string &code)
     // start with the function name itself (return type on the line
     // above). Neither is a call site.
     static constexpr const char *kNotCalls[] = {
-        "MvaResult ",          "FixedPointResult ",
-        "MulticlassResult ",   "HierarchicalResult ",
-        "solveMulticlass(",    "solveHierarchical(",
+        "MvaResult ",        "MulticlassResult ",
+        "HierarchicalResult ", "solveMulticlass(",
+        "solveHierarchical(",
     };
     std::string t = lstrip(code);
     if (!contains(t, "=")) {
@@ -239,7 +239,7 @@ isSolverPath(const fs::path &p)
     bool in_core = p.parent_path().filename() == "core";
     // csv.* is covered because CSV emission runs inside sweep/bench
     // result paths: a failed write must surface via close(), not exit.
-    return (in_util && (stem == "fixed_point" || stem == "csv")) ||
+    return (in_util && stem == "csv") ||
         (in_core &&
          (stem == "analyzer" || stem == "sweep" || stem == "solve_for"));
 }

@@ -111,7 +111,6 @@ bool
 fatalEntryScope(const std::string &file)
 {
     return startsWith(file, "src/mva/") || startsWith(file, "src/core/") ||
-        file == "src/util/fixed_point.cc" ||
         startsWith(baseName(file), "bad_fatal_reachability");
 }
 
@@ -478,7 +477,6 @@ struct Boundary {
 /** The solver boundary roster: results that cross these functions are
  * the numbers the paper publishes. */
 const Boundary kBoundaries[] = {
-    {"src/util/fixed_point.cc", "trySolve"},
     {"src/mva/solver.cc", "trySolve"},
     {"src/mva/multiclass.cc", "solveMulticlass"},
     {"src/mva/hierarchical.cc", "solveHierarchical"},

@@ -10,9 +10,9 @@
  *
  *  - fatal-reachability: no `fatal()` / `abort()` / `exit()` may be
  *    transitively reachable from a `try*` solver entry point
- *    (src/mva, src/core, src/util/fixed_point.cc). Supersedes the
- *    direct-call no-fatal-in-solver rule in capability: the finding
- *    message carries the whole witness chain entry -> ... -> sink.
+ *    (src/mva, src/core). Supersedes the direct-call
+ *    no-fatal-in-solver rule in capability: the finding message
+ *    carries the whole witness chain entry -> ... -> sink.
  *    Per-line opt-out: `// snoop-lint: fatal-ok` near the sink call.
  *
  *  - unchecked-expected: flow-sensitive, within-function tracking of
