@@ -368,7 +368,7 @@ TEST_F(FaultInjection, HierarchicalLadderFiresForConfiguredDampingBelowHalf)
 
 TEST_F(FaultInjection, NanFaultSurfacesAsStructuredError)
 {
-    // fixed_point.nan poisons every attempt: the ladder exhausts and
+    // mva.nan poisons every attempt: the ladder exhausts and
     // the failure comes back as NonFiniteIterate, not a crash.
     ASSERT_TRUE(setFaultSpecs("mva.nan").ok());
     MvaSolver solver;

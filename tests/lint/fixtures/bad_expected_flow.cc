@@ -1,8 +1,8 @@
-// Negative fixture for the expected-flow pass: tryLoad's result is
+// Negative fixture for expected-flow's path walk: tryLoad's result is
 // read via .value() on one path that never checked it, and on the
 // branch where ok() was established to be false -- the two
-// path-sensitive cases the flow-insensitive unchecked-expected pass
-// cannot see (each function also checks on SOME path).
+// path-sensitive cases a statement-level scan cannot see (each
+// function also checks on SOME path).
 
 #include "util/expected.hh"
 

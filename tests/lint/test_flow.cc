@@ -1,7 +1,7 @@
 /**
  * @file
  * Pass-level tests for the flow-sensitive analyses
- * (tools/lint/flow.{hh,cc}) over synthetic in-memory FileSets:
+ * (tools/lint/passes.{hh,cc}) over synthetic in-memory FileSets:
  * fp-determinism roster scoping and sanctioned kernels, lockset
  * branch coverage and the caller-holds seeding idiom, expected-flow
  * path sensitivity, and DeterminismRoster parsing. The fixture suite
@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "lint/flow.hh"
 #include "lint/lexer.hh"
+#include "lint/passes.hh"
 
 using namespace snoop::lint;
 
@@ -34,7 +34,7 @@ runOn(const std::string &path, const std::string &src,
 {
     FileSet files;
     files.emplace(path, lex(src));
-    return runFlowPasses(files, roster);
+    return runProgramPasses(files, roster);
 }
 
 size_t
@@ -225,6 +225,59 @@ TEST(ExpectedFlow, ErrBranchReadFires)
               "}\n");
     ASSERT_EQ(countRule(fs, "expected-flow"), 1u);
     EXPECT_EQ(fs[0].line, 9u);
+}
+
+/** Lines of the expected-flow findings in @p fs, sorted. */
+std::vector<size_t>
+expectedFlowLines(const std::vector<Finding> &fs)
+{
+    std::vector<size_t> lines;
+    for (const Finding &f : fs)
+        if (f.rule == "expected-flow")
+            lines.push_back(f.line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+TEST(ExpectedFlow, StatementChecksCoverDegradedCfg)
+{
+    // goto degrades the CFG, so the path walk is silent; the
+    // statement checks still see the discard (L5), the unchecked
+    // .value()-only binding (L6) and the unused binding (L7).
+    std::vector<Finding> fs =
+        runOn("src/core/use.cc",
+              "Expected<int> tryGet(int k);\n"
+              "int\n"
+              "f(int k)\n"
+              "{\n"
+              "    tryGet(k);\n"
+              "    auto r = tryGet(k);\n"
+              "    auto unused = tryGet(k);\n"
+              "    goto done;\n"
+              "done:\n"
+              "    int v = r.value();\n"
+              "    return v;\n"
+              "}\n");
+    EXPECT_EQ(expectedFlowLines(fs), (std::vector<size_t>{5, 6, 7}));
+}
+
+TEST(ExpectedFlow, UncheckedBindingIsReportedOnceAtTheRead)
+{
+    // With a healthy CFG the path walk owns the .value() read; the
+    // statement checks add no second finding at the binding, and a
+    // (void) cast is an explicit opt-out.
+    std::vector<Finding> fs =
+        runOn("src/core/use.cc",
+              "Expected<int> tryGet(int k);\n"
+              "int\n"
+              "f(int k)\n"
+              "{\n"
+              "    (void)tryGet(k);\n"
+              "    auto r = tryGet(k);\n"
+              "    int v = r.value();\n"
+              "    return v;\n"
+              "}\n");
+    EXPECT_EQ(expectedFlowLines(fs), (std::vector<size_t>{7}));
 }
 
 TEST(Roster, LoadParsesDirectives)

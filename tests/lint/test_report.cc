@@ -95,11 +95,9 @@ TEST(Sarif, RuleIdsAreStable)
         "pragma-once",          "doxygen-file",
         "no-using-std",         "format-attr",
         "converged-check",      "no-raw-assert",
-        "no-raw-thread",        "no-fatal-in-solver",
-        "layering",             "determinism",
-        "unused-include",       "fatal-reachability",
-        "unchecked-expected",   "guarded-shared-state",
-        "numeric-guard-coverage",
+        "no-raw-thread",        "layering",
+        "determinism",          "unused-include",
+        "fatal-reachability",   "numeric-guard-coverage",
         "fp-determinism",       "lockset",
         "expected-flow",        "marker-allowlist",
     };

@@ -3,7 +3,7 @@
  * Semantic-layer tests: the declaration/definition parser
  * (lint/parser.hh), the cross-TU symbol index (lint/symbols.hh), the
  * call graph with its resolution policy (lint/callgraph.hh), and the
- * four semantic passes (lint/semantic.hh) driven over synthetic
+ * call-graph passes (lint/passes.hh) driven over synthetic
  * FileSets. The fixture suite (test_rules.cc / run_lint.sh) proves
  * the passes fire end-to-end; these tests pin the layer contracts —
  * scope tracking, linkage restrictions, witness chains, and the
@@ -17,7 +17,7 @@
 
 #include "lint/callgraph.hh"
 #include "lint/parser.hh"
-#include "lint/semantic.hh"
+#include "lint/passes.hh"
 #include "lint/symbols.hh"
 
 using namespace snoop::lint;
@@ -124,7 +124,7 @@ TEST(Parser, OperatorEqualsDefinitionIsNotAVariable)
 {
     // The lexer emits single-char puncts, so the '==' here once read
     // as "global variable 'Key' with an initializer" and tripped the
-    // guarded-shared-state pass on every out-of-line operator==.
+    // worker-reachable state check on every out-of-line operator==.
     ParsedFile pf = parseSource(
         "bool\n"
         "Key::operator==(const Key &other) const\n"
@@ -311,7 +311,7 @@ TEST(CallGraph, FindPathReturnsWitnessChain)
 std::vector<Finding>
 runOn(std::vector<std::pair<std::string, std::string>> sources)
 {
-    return runSemanticPasses(makeFiles(std::move(sources)));
+    return runProgramPasses(makeFiles(std::move(sources)), {});
 }
 
 TEST(FatalReachability, WitnessChainInMessage)
@@ -347,6 +347,33 @@ TEST(FatalReachability, MarkerSuppressesTheSink)
     EXPECT_TRUE(findings.empty());
 }
 
+TEST(FatalReachability, DirectSinkInSolverPathFires)
+{
+    // In a solver-path file a sink call is a finding where it is made,
+    // in a macro or in a function, with no try* entry involved; the
+    // marker still waives it.
+    auto findings = runOn({
+        {"src/mva/step.cc",
+         "#define BAIL() std::exit(3)\n"
+         "double step(double x)\n"
+         "{\n"
+         "    if (x < 0.0)\n"
+         "        abort();\n"
+         "    // snoop-lint: fatal-ok\n"
+         "    if (x > 1e9)\n"
+         "        fatal(\"range\");\n"
+         "    return x;\n"
+         "}\n"},
+    });
+    ASSERT_EQ(findings.size(), 2u);
+    EXPECT_EQ(findings[0].rule, "fatal-reachability");
+    EXPECT_EQ(findings[0].line, 1u);
+    EXPECT_EQ(findings[1].line, 5u);
+    EXPECT_NE(findings[1].message.find("abort() exits the process"),
+              std::string::npos)
+        << findings[1].message;
+}
+
 TEST(UncheckedExpected, TrackedVariableNeverConsulted)
 {
     auto findings = runOn({
@@ -359,7 +386,7 @@ TEST(UncheckedExpected, TrackedVariableNeverConsulted)
          "}\n"},
     });
     ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "unchecked-expected");
+    EXPECT_EQ(findings[0].rule, "expected-flow");
     EXPECT_NE(findings[0].message.find("never consulted"),
               std::string::npos);
 }
@@ -382,8 +409,8 @@ TEST(UncheckedExpected, NegationCheckSilences)
 
 TEST(GuardedSharedState, AccessorMustNameTheMutex)
 {
-    // The accessor sits well below the declaration so the doc-comment
-    // lookback window cannot see the annotation's own mutex name.
+    // The accessor sits well below the declaration so the
+    // caller-holds lookback window cannot see the annotation's mutex.
     auto findings = runOn({
         {"src/a.cc",
          "namespace {\n"
@@ -398,9 +425,8 @@ TEST(GuardedSharedState, AccessorMustNameTheMutex)
          "void run(unsigned n) { parallelFor(n, [] { bump(); }); }\n"},
     });
     ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "guarded-shared-state");
-    EXPECT_NE(findings[0].message.find("without naming the mutex"),
-              std::string::npos);
+    EXPECT_EQ(findings[0].rule, "lockset");
+    EXPECT_NE(findings[0].message.find("is not held"), std::string::npos);
 }
 
 TEST(GuardedSharedState, UnreachableStateIsNotFlagged)

@@ -60,8 +60,8 @@ TEST(CsvEscape, OnlyQuotesWhenNeeded)
     EXPECT_EQ(CsvWriter::escape("q\"q"), "\"q\"\"q\"");
 }
 
-// The no-fatal-in-solver contract: an unwritable path must not exit
-// the process. The error is sticky, rows are dropped, and close()
+// The solver-path contract (lint rule fatal-reachability): an
+// unwritable path must not exit the process. The error is sticky, rows are dropped, and close()
 // surfaces the IoError.
 TEST(CsvError, UnwritablePathSurfacesThroughClose)
 {

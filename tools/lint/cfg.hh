@@ -4,7 +4,7 @@
  * @file
  * Statement-level intraprocedural control-flow graph of
  * snoop_analyze: the layer between the declaration parser
- * (lint/parser.hh) and the flow-sensitive passes (lint/flow.hh).
+ * (lint/parser.hh) and the whole-program passes (lint/passes.hh).
  * Where the call graph (lint/callgraph.hh) answers "what can this
  * function reach", the CFG answers "along which paths" — the
  * question the determinism, lockset, and Expected-flow passes need.

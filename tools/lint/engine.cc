@@ -6,11 +6,11 @@
 #include <filesystem>
 #include <map>
 
-#include "lint/flow.hh"
 #include "lint/include_graph.hh"
 #include "lint/lexer.hh"
+#include "lint/passes.hh"
 #include "lint/rules.hh"
-#include "lint/semantic.hh"
+#include "lint/text.hh"
 
 namespace snoop::lint {
 
@@ -102,8 +102,8 @@ gitChangedFiles(const std::string &root, const std::string &ref,
 bool
 inLintedTree(const std::string &rel)
 {
-    return rel.rfind("src/", 0) == 0 || rel.rfind("tools/", 0) == 0 ||
-        rel.rfind("bench/", 0) == 0 || rel.rfind("examples/", 0) == 0;
+    return startsWith(rel, "src/") || startsWith(rel, "tools/") ||
+        startsWith(rel, "bench/") || startsWith(rel, "examples/");
 }
 
 class LexCache
@@ -167,11 +167,10 @@ struct MarkerUse {
 /** Files whose inline markers must be registered in allowlist.txt:
  * the library tree, plus the rule's own fixtures. */
 bool
-markerScope(const std::string &display, const std::string &base)
+markerScope(const std::string &display)
 {
-    return display.rfind("src/", 0) == 0 ||
-        base.rfind("bad_marker_allowlist", 0) == 0 ||
-        base.rfind("good_marker_allowlist", 0) == 0;
+    return startsWith(display, "src/") ||
+        isFixtureOf(display, "marker_allowlist");
 }
 
 /** Collect `snoop-lint: <marker>` uses in comment position (a `//`
@@ -276,11 +275,12 @@ runLint(const LintOptions &opt)
         if (!isTestExempt(p.string()))
             checkUnusedIncludes(display, p.string(), *lexed, resolver,
                                 findings);
-        if (markerScope(display, p.filename().string()))
+        if (markerScope(display))
             scanMarkers(display, *lexed, &markers);
     }
 
     // 3. Tree passes over root/src.
+    FileSet srcTree;
     if (opt.treePasses) {
         fs::path src = root / "src";
         std::error_code ec;
@@ -288,7 +288,6 @@ runLint(const LintOptions &opt)
             result.errors.push_back("tree passes need " +
                                     src.string() + " to exist");
         } else {
-            FileSet files;
             for (const auto &entry :
                  fs::recursive_directory_iterator(src, ec)) {
                 if (!entry.is_regular_file() ||
@@ -296,8 +295,8 @@ runLint(const LintOptions &opt)
                     continue;
                 const LexedFile *lexed = cache.get(entry.path());
                 if (lexed)
-                    files.emplace(relativize(root, entry.path()),
-                                  *lexed);
+                    srcTree.emplace(relativize(root, entry.path()),
+                                    *lexed);
             }
             std::string layers_path = opt.layersPath.empty()
                 ? (root / "tools" / "lint" / "layers.txt").string()
@@ -311,8 +310,8 @@ runLint(const LintOptions &opt)
                 auto add = [&tree](std::vector<Finding> more) {
                     tree.insert(tree.end(), more.begin(), more.end());
                 };
-                add(checkLayering(files, layers));
-                add(checkIncludeCycles(files));
+                add(checkLayering(srcTree, layers));
+                add(checkIncludeCycles(srcTree));
                 // A tree finding belongs to the run only when its
                 // file was asked about (full runs ask about all of
                 // src/; changed-only runs ask about the diff).
@@ -325,50 +324,23 @@ runLint(const LintOptions &opt)
         }
     }
 
-    // 4. Semantic passes (parser -> symbol index -> call graph).
-    // Their file set is src/ when tree passes run (cross-TU edges need
-    // the whole library) plus any explicitly targeted src/ files or
-    // fixtures (bad_/good_ basenames opt in); tools/bench/examples are
-    // CLI boundary code where fatal() and friends are the contract.
+    // 4. Whole-program passes (parser -> symbol index -> call graph
+    // -> CFG). Their file set is src/ when tree passes run (cross-TU
+    // edges need the whole library) plus any explicitly targeted src/
+    // files or fixtures (bad_/good_ basenames opt in);
+    // tools/bench/examples are CLI boundary code where fatal() and
+    // friends are the contract.
     {
-        FileSet sem;
+        FileSet sem = std::move(srcTree);
         for (const fs::path &p : targets) {
-            std::string base = p.filename().string();
             std::string display = relativize(root, p);
-            bool fixture = base.rfind("bad_", 0) == 0 ||
-                base.rfind("good_", 0) == 0;
-            if (display.rfind("src/", 0) != 0 && !fixture)
+            if (!startsWith(display, "src/") && !isFixtureOf(display, ""))
                 continue;
             const LexedFile *lexed = cache.get(p);
             if (lexed)
                 sem.emplace(display, *lexed);
         }
-        if (opt.treePasses) {
-            fs::path src = root / "src";
-            std::error_code ec;
-            if (fs::is_directory(src, ec)) {
-                for (const auto &entry :
-                     fs::recursive_directory_iterator(src, ec)) {
-                    if (!entry.is_regular_file() ||
-                        !isSourceExt(entry.path()))
-                        continue;
-                    const LexedFile *lexed = cache.get(entry.path());
-                    if (lexed)
-                        sem.emplace(relativize(root, entry.path()),
-                                    *lexed);
-                }
-            }
-        }
         if (!sem.empty()) {
-            for (Finding &f : runSemanticPasses(sem)) {
-                // Same ownership rule as the tree passes: a finding
-                // belongs to the run only when its file was asked
-                // about.
-                if (is_target.count(f.file))
-                    findings.push_back(std::move(f));
-            }
-            // Flow-sensitive passes (CFG + dataflow) share the same
-            // file set and ownership rule.
             std::string roster_path = opt.rosterPath.empty()
                 ? (root / "tools" / "lint" / "determinism.txt")
                       .string()
@@ -378,7 +350,9 @@ runLint(const LintOptions &opt)
                 DeterminismRoster::load(roster_path, &roster_err);
             if (!roster_err.empty())
                 result.errors.push_back(roster_err);
-            for (Finding &f : runFlowPasses(sem, roster)) {
+            // Same ownership rule as the tree passes: a finding
+            // belongs to the run only when its file was asked about.
+            for (Finding &f : runProgramPasses(sem, roster)) {
                 if (is_target.count(f.file))
                     findings.push_back(std::move(f));
             }

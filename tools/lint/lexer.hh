@@ -17,7 +17,7 @@
  *    passes (include graph, exported-name extraction);
  *  - `code`: a per-line "code view" of the source with comments
  *    blanked and literal contents reduced to "" / '' so the
- *    line-oriented convention rules (R1-R8) keep their auditable
+ *    line-oriented convention rules (R1-R7) keep their auditable
  *    textual form while inheriting token-level correctness.
  *
  * `#include` directives are extracted during lexing (so a directive

@@ -3,16 +3,16 @@
 /**
  * @file
  * Declaration/definition parser of snoop_analyze: the layer between
- * the lexer (lint/lexer.hh) and the semantic passes (lint/semantic.hh).
+ * the lexer (lint/lexer.hh) and the whole-program passes (lint/passes.hh).
  * It walks one file's token stream and recovers the structure the
  * cross-TU passes need — no types, no templates, no overload
  * resolution, just the shapes this tree actually uses:
  *
  *  - function definitions: qualified name, signature line, and the
  *    token range of the body (lambda bodies stay part of the
- *    enclosing function, which is exactly what the
- *    guarded-shared-state pass wants: a parallelFor worker lambda is
- *    analyzed as part of the function that launches it);
+ *    enclosing function, which is exactly what the lockset pass
+ *    wants: a parallelFor worker lambda is analyzed as part of the
+ *    function that launches it);
  *  - function declarations: name plus the return-type text, which is
  *    how the symbol index learns that `trySolve` returns
  *    Expected<...> without parsing templates;

@@ -28,9 +28,6 @@ ruleTable()
         {"no-raw-thread",
          "no raw std::thread outside src/util/parallel.cc (use the "
          "ThreadPool / parallelFor layer)"},
-        {"no-fatal-in-solver",
-         "no fatal() in library solver paths; report failures as "
-         "SolveError / SolveException (util/expected.hh)"},
         {"layering",
          "cross-module #include edges respect the declared module "
          "DAG (tools/lint/layers.txt) and form no cycles"},
@@ -43,15 +40,8 @@ ruleTable()
         {"fatal-reachability",
          "no fatal()/abort()/exit() transitively reachable from a "
          "try* solver entry point (call-graph proof; the finding "
-         "carries the witness chain)"},
-        {"unchecked-expected",
-         "a call returning Expected<T> must be checked, consumed, or "
-         "(void)-cast, never silently discarded or read via .value() "
-         "unchecked"},
-        {"guarded-shared-state",
-         "mutable static state reachable from parallelFor workers "
-         "carries SNOOP_GUARDED_BY(mutex), and accessors name that "
-         "mutex"},
+         "carries the witness chain) or called in a library solver "
+         "path; report failures as SolveError / SolveException"},
         {"numeric-guard-coverage",
          "solver boundary functions route results through "
          "NumericGuard / SNOOP_NUMERIC_CHECK (directly or via a "
@@ -64,10 +54,14 @@ ruleTable()
         {"lockset",
          "accesses to SNOOP_GUARDED_BY(m) state happen only on CFG "
          "paths where m is provably held (lock_guard/unique_lock/"
-         "explicit lock(), must-hold dataflow)"},
+         "explicit lock(), must-hold dataflow), and mutable static "
+         "state reachable from parallelFor workers carries "
+         "SNOOP_GUARDED_BY"},
         {"expected-flow",
-         "an Expected<T> result is never read via .value() on a path "
-         "where it was not checked ok (path-sensitive CFG analysis)"},
+         "an Expected<T> result is never discarded, bound and never "
+         "consulted, or read via .value() on a path where it was not "
+         "checked ok (path-sensitive CFG analysis); (void) casts "
+         "opt out"},
         {"marker-allowlist",
          "every inline 'snoop-lint:' waiver marker in src/ is "
          "registered with a justification in "

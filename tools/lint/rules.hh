@@ -2,8 +2,8 @@
 
 /**
  * @file
- * Per-file convention rules of snoop_analyze: the eight rules R1-R8
- * inherited from PR 1's line scanner, re-expressed over the lexer's
+ * Per-file convention rules of snoop_analyze: rules R1-R7 inherited
+ * from the original line scanner, re-expressed over the lexer's
  * stripped code view (tools/lint/lexer.hh) so comments, string
  * literals, char literals, and raw strings can no longer cause
  * false positives or mask the rest of a line — plus the determinism
@@ -13,9 +13,10 @@
  *
  * Which rules apply to a file is decided from its path exactly as
  * before (headers get the header rules, tests/ is exempt from the
- * code rules, fixtures opt back in, solver paths get R8), so the
- * token engine reproduces the line scanner's findings on clean and
- * violating trees alike.
+ * code rules, fixtures opt back in), so the token engine reproduces
+ * the line scanner's findings on clean and violating trees alike.
+ * Direct fatal() calls in solver paths are the fatal-reachability
+ * pass's job (lint/passes.hh).
  */
 
 #include <string>
@@ -31,18 +32,13 @@ namespace snoop::lint {
  *
  * @param display   path string used in emitted findings
  * @param original  path used for rule-applicability decisions
- *                  (tests/, fixtures/, solver paths, src/random/);
+ *                  (tests/, fixtures/, src/random/);
  *                  usually the path as given on the command line
  * @param lexed     the lexed file
  * @param findings  appended in rule order
  */
 void runFileRules(const std::string &display, const std::string &original,
                   const LexedFile &lexed, std::vector<Finding> &findings);
-
-/** Word-boundary search: needle not preceded/followed by identifier
- * chars. Non-identifier chars inside the needle (e.g. "std::rand")
- * do not affect the boundary check. */
-bool containsWord(const std::string &line, const char *needle);
 
 /** True for paths under tests/ that are exempt from the code rules.
  * The negative fixtures under tests/lint/fixtures/ are NOT exempt,

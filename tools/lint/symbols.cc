@@ -30,8 +30,6 @@ SymbolIndex::build(const FileSet &files)
             (textReturnsExpected(decl.returnText) ? sawExpected
                                                   : sawOther) = true;
         }
-        for (const GlobalVar &var : parsed.globals)
-            idx.globals_.push_back({path, var});
         idx.parsedByFile_.emplace(path, std::move(parsed));
     }
     return idx;

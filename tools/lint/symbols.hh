@@ -3,21 +3,20 @@
 /**
  * @file
  * Cross-TU symbol index of snoop_analyze. Aggregates every file's
- * ParsedFile (lint/parser.hh) into name-keyed views the semantic
- * passes share:
+ * ParsedFile (lint/parser.hh) into name-keyed views the whole-program
+ * passes (lint/passes.hh) share:
  *
  *  - functions: every definition, tagged with its file, for the call
  *    graph (lint/callgraph.hh) and per-pass scoping;
  *  - returnsExpected(name): true only when *every* declaration and
  *    definition of that name spells an Expected<...> return type —
  *    overload ambiguity degrades to "don't know", and the
- *    unchecked-expected pass stays silent rather than guessing;
- *  - globals: every namespace-scope variable / function-local static,
- *    tagged with its file, for the guarded-shared-state pass.
+ *    expected-flow pass stays silent rather than guessing;
+ *  - parsed(file): each file's ParsedFile, so no pass parses twice.
  *
- * The index is built once per run from the same FileSet the tree
- * passes use, so the semantic layer inherits the engine's caching and
- * deterministic file ordering.
+ * The index is built once per run, by runProgramPasses, from the same
+ * FileSet the tree passes use, so every pass inherits the engine's
+ * caching and deterministic file ordering.
  */
 
 #include <map>
@@ -36,12 +35,6 @@ struct IndexedFunction {
     FunctionDef def;
 };
 
-/** One global variable located in the tree. */
-struct IndexedGlobal {
-    std::string file;
-    GlobalVar var;
-};
-
 /** Cross-TU view of every parsed file. */
 class SymbolIndex
 {
@@ -54,12 +47,6 @@ class SymbolIndex
     const std::vector<IndexedFunction> &functions() const
     {
         return functions_;
-    }
-
-    /** All globals, in (file, token-order) order. */
-    const std::vector<IndexedGlobal> &globals() const
-    {
-        return globals_;
     }
 
     /** Definitions with unqualified name @p name. */
@@ -80,7 +67,6 @@ class SymbolIndex
 
   private:
     std::vector<IndexedFunction> functions_;
-    std::vector<IndexedGlobal> globals_;
     std::map<std::string, std::vector<size_t>> byName_; //!< -> functions_
     /** name -> {saw Expected return, saw non-Expected return} */
     std::map<std::string, std::pair<bool, bool>> returns_;

@@ -1,12 +1,12 @@
 #!/bin/sh
 # Drives snoop_lint as a ctest: lints the real tree (must be clean,
 # including the layering / determinism / unused-include passes, the
-# flow-sensitive passes (fp-determinism, lockset, expected-flow,
-# marker-allowlist) and the baseline), verifies on the negative
-# fixtures that every rule
-# still fires, verifies the good_* fixtures stay clean, and checks
-# the --list-rules snapshot — a linter that silently stopped
-# detecting anything would otherwise keep passing forever.
+# whole-program passes, marker-allowlist and the baseline), verifies
+# on the negative fixtures that every rule still fires, checks that
+# the fixtures and the rule roster match one to one, verifies the
+# good_* fixtures stay clean, and checks the --list-rules snapshot —
+# a linter that silently stopped detecting anything would otherwise
+# keep passing forever.
 #
 # usage: run_lint.sh <snoop_lint-binary> <repo-root> [extra-args...]
 #
@@ -56,6 +56,41 @@ for fixture in "$ROOT"/tests/lint/fixtures/bad_*; do
         echo "ok: $fixture fires [$rule]"
     fi
 done
+
+echo "== rule roster (every rule has a bad_ fixture, every bad_ fixture a rule) =="
+# A rule without a negative fixture has never been shown to catch
+# anything; a bad_ fixture naming no listed rule is an orphan left by
+# a retired rule. layering is proven by its fixture trees instead.
+fixtures="$ROOT/tests/lint/fixtures"
+ids=$("$LINT" --list-rules | awk '{print $1}')
+roster_status=0
+for id in $ids; do
+    if [ "$id" = layering ]; then
+        [ -d "$fixtures/tree_badedge" ] && [ -d "$fixtures/tree_cycle" ] &&
+            continue
+    else
+        stem=$(printf '%s' "$id" | tr - _)
+        for f in "$fixtures/bad_$stem".* "$fixtures/bad_${stem}__"*; do
+            [ -f "$f" ] && continue 2
+        done
+    fi
+    echo "run_lint: rule [$id] has no bad_ fixture in $fixtures" >&2
+    roster_status=1
+done
+for fixture in "$fixtures"/bad_*; do
+    [ -f "$fixture" ] || continue
+    rule=$(basename "$fixture" |
+               sed 's/^bad_//; s/\.[^.]*$//; s/__.*//; s/_/-/g')
+    if ! printf '%s\n' "$ids" | grep -qx -- "$rule"; then
+        echo "run_lint: $fixture names no listed rule [$rule]" >&2
+        roster_status=1
+    fi
+done
+if [ "$roster_status" -eq 0 ]; then
+    echo "ok: every listed rule has a fixture and every fixture a rule"
+else
+    status=1
+fi
 
 echo "== clean fixtures (each must pass) =="
 for good in "$ROOT"/tests/lint/fixtures/good_*; do

@@ -25,11 +25,6 @@
  *                      src/util/parallel.cc (use the ThreadPool /
  *                      parallelFor layer, which owns the determinism
  *                      and shutdown contract)
- *  R8  no-fatal-in-solver
- *                      no fatal() in library solver paths: report
- *                      failures as SolveError / SolveException
- *                      (util/expected.hh); a deliberate boundary
- *                      fatal carries a `snoop-lint: fatal-ok` marker
  *  R9  layering        cross-module #include edges respect the
  *                      module DAG declared in tools/lint/layers.txt
  *                      and form no include cycles
@@ -44,33 +39,27 @@
  *                      side-effect includes carry
  *                      `snoop-lint: include-ok`
  *
- * On top of the per-file and include-graph rules, four semantic
- * passes run over a parsed cross-TU view (declaration parser, symbol
- * index, call graph — see docs/ANALYSIS.md):
+ * On top of the per-file and include-graph rules, whole-program
+ * passes run over one parsed cross-TU view (declaration parser,
+ * symbol index, call graph — see docs/ANALYSIS.md and
+ * tools/lint/passes.hh). Two follow the call graph:
  *
  *  S1  fatal-reachability
  *                      no fatal()/abort()/exit() transitively
  *                      reachable from a try* solver entry point; the
  *                      finding carries the full witness chain
- *                      (entry -> ... -> fatal())
- *  S2  unchecked-expected
- *                      a call returning Expected<T> must be checked,
- *                      consumed, or (void)-cast — never silently
- *                      discarded or read via .value() unchecked
- *  S3  guarded-shared-state
- *                      mutable static state reachable from
- *                      parallelFor workers carries
- *                      SNOOP_GUARDED_BY(mutex)
- *                      (src/util/annotations.hh), and its accessors
- *                      name that mutex
- *  S4  numeric-guard-coverage
+ *                      (entry -> ... -> fatal()). In library solver
+ *                      paths (src/mva, src/util/csv.*,
+ *                      src/core/{analyzer,sweep,solve_for}.*) any
+ *                      direct sink call is a finding; a deliberate
+ *                      boundary carries `snoop-lint: fatal-ok`
+ *  S2  numeric-guard-coverage
  *                      solver boundary functions route results
  *                      through NumericGuard / SNOOP_NUMERIC_CHECK,
  *                      directly or via a same-file validator
  *
- * And three flow-sensitive passes over the statement-level CFG and
- * worklist dataflow solver (tools/lint/cfg.hh, dataflow.hh,
- * flow.hh):
+ * And three run over the statement-level CFG and worklist dataflow
+ * solver (tools/lint/cfg.hh, dataflow.hh):
  *
  *  F1  fp-determinism  in the bit-identity-critical modules named by
  *                      tools/lint/determinism.txt: no libm
@@ -81,12 +70,18 @@
  *                      waiver marker `snoop-lint: fp-ok`
  *  F2  lockset         must-hold lockset analysis: accesses to
  *                      SNOOP_GUARDED_BY(m) state are flagged on CFG
- *                      paths where m is provably not held; waiver
- *                      marker `snoop-lint: lockset-ok`
- *  F3  expected-flow   path-sensitive unchecked-Expected: a result
- *                      checked on one branch but read via .value()
- *                      on another is flagged with the offending
- *                      path; waiver marker `snoop-lint: expected-ok`
+ *                      paths where m is provably not held, and
+ *                      mutable static state reachable from
+ *                      parallelFor workers must carry
+ *                      SNOOP_GUARDED_BY (src/util/annotations.hh);
+ *                      waiver marker `snoop-lint: lockset-ok`
+ *  F3  expected-flow   unchecked-Expected: a result discarded, bound
+ *                      and never consulted, read via .value() on the
+ *                      call's temporary, or checked on one branch
+ *                      but read via .value() on another is flagged
+ *                      (the last with the offending path); (void)
+ *                      casts opt out; waiver marker
+ *                      `snoop-lint: expected-ok`
  *
  * Every inline `snoop-lint:` waiver in src/ must additionally be
  * registered with a justification in tools/lint/allowlist.txt
